@@ -1,10 +1,33 @@
 #include "src/nand/array.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "src/util/expect.hpp"
 
 namespace xlf::nand {
+namespace {
+
+// Word-at-a-time Gray coding: a 64-bit page word holds 32 cells, bit
+// 2i the MSB and bit 2i+1 the LSB of cell i. A level's 2-bit code
+// (c1 c0) satisfies c0 = MSB ^ LSB and c1 = !LSB (L0=11, L1=01,
+// L2=00, L3=10), so a whole word converts with a few masks.
+constexpr std::size_t kCellsPerWord = 32;
+constexpr std::uint64_t kEvenBits = 0x5555555555555555ull;
+
+std::uint64_t bits_to_codes(std::uint64_t word) {
+  const std::uint64_t msb = word & kEvenBits;
+  const std::uint64_t lsb = (word >> 1) & kEvenBits;
+  return (msb ^ lsb) | ((~lsb & kEvenBits) << 1);
+}
+
+std::uint64_t codes_to_bits(std::uint64_t codes) {
+  const std::uint64_t c0 = codes & kEvenBits;
+  const std::uint64_t c1 = (codes >> 1) & kEvenBits;
+  return (~(c0 ^ c1) & kEvenBits) | ((~c1 & kEvenBits) << 1);
+}
+
+}  // namespace
 
 NandArray::NandArray(const ArrayConfig& config)
     : config_(config),
@@ -78,18 +101,27 @@ bool NandArray::is_erased(PageAddress addr) const {
 std::vector<Level> NandArray::bits_to_levels(const BitVec& bits) {
   XLF_EXPECT(bits.size() % 2 == 0);
   std::vector<Level> levels(bits.size() / 2);
-  for (std::size_t i = 0; i < levels.size(); ++i) {
-    levels[i] = bits_to_level(Bits2{bits.get(2 * i), bits.get(2 * i + 1)});
+  for (std::size_t w = 0; w < bits.words().size(); ++w) {
+    const std::uint64_t codes = bits_to_codes(bits.word(w));
+    const std::size_t first = w * kCellsPerWord;
+    const std::size_t end = std::min(levels.size(), first + kCellsPerWord);
+    for (std::size_t i = first; i < end; ++i) {
+      levels[i] = static_cast<Level>((codes >> (2 * (i - first))) & 3u);
+    }
   }
   return levels;
 }
 
 BitVec NandArray::levels_to_bits(const std::vector<Level>& levels) {
   BitVec bits(levels.size() * 2);
-  for (std::size_t i = 0; i < levels.size(); ++i) {
-    const Bits2 b = level_to_bits(levels[i]);
-    bits.set(2 * i, b.msb);
-    bits.set(2 * i + 1, b.lsb);
+  for (std::size_t w = 0; w < bits.words().size(); ++w) {
+    const std::size_t first = w * kCellsPerWord;
+    const std::size_t end = std::min(levels.size(), first + kCellsPerWord);
+    std::uint64_t codes = 0;
+    for (std::size_t i = first; i < end; ++i) {
+      codes |= static_cast<std::uint64_t>(levels[i]) << (2 * (i - first));
+    }
+    bits.set_word(w, codes_to_bits(codes));
   }
   return bits;
 }
@@ -132,9 +164,15 @@ ProgramResult NandArray::program_page(PageAddress addr, const BitVec& bits,
   } else {
     // Statistical placement: sample the calibrated read-time
     // distribution directly.
+    std::array<LevelDistribution, 4> dists;
+    for (Level level : kAllLevels) {
+      dists[static_cast<std::size_t>(level)] =
+          rber_.distribution(level, algo, pe);
+    }
     for (std::size_t i = 0; i < state.cells.size(); ++i) {
-      const LevelDistribution dist = rber_.distribution(targets[i], algo, pe);
       if (targets[i] == Level::kL0) continue;  // erased cells stay put
+      const LevelDistribution& dist =
+          dists[static_cast<std::size_t>(targets[i])];
       state.cells[i].erase(
           Volts{rng_.gaussian(dist.mean.value(), dist.sigma.value())});
     }
@@ -152,11 +190,16 @@ ProgramResult NandArray::program_page(PageAddress addr, const BitVec& bits,
 BitVec NandArray::read_page(PageAddress addr) const {
   const PageState& state = page(addr);
   BitVec bits(config_.geometry.bits_per_page());
-  for (std::size_t i = 0; i < state.cells.size(); ++i) {
-    const Level level = config_.plan.read_level(state.cells[i].vth());
-    const Bits2 b = level_to_bits(level);
-    bits.set(2 * i, b.msb);
-    bits.set(2 * i + 1, b.lsb);
+  for (std::size_t w = 0; w < bits.words().size(); ++w) {
+    const std::size_t first = w * kCellsPerWord;
+    const std::size_t end =
+        std::min(state.cells.size(), first + kCellsPerWord);
+    std::uint64_t codes = 0;
+    for (std::size_t i = first; i < end; ++i) {
+      const Level level = config_.plan.read_level(state.cells[i].vth());
+      codes |= static_cast<std::uint64_t>(level) << (2 * (i - first));
+    }
+    bits.set_word(w, codes_to_bits(codes));
   }
   return bits;
 }

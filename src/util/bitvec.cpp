@@ -111,6 +111,12 @@ void BitVec::set_byte(std::size_t i, std::uint8_t value) {
   mask_tail();
 }
 
+void BitVec::set_word(std::size_t w, std::uint64_t value) {
+  XLF_EXPECT(w < words_.size());
+  words_[w] = value;
+  if (w + 1 == words_.size()) mask_tail();
+}
+
 void BitVec::mask_tail() {
   const std::size_t tail = bits_ % 64;
   if (tail != 0 && !words_.empty()) {

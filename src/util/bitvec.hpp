@@ -44,6 +44,8 @@ class BitVec {
 
   const std::vector<std::uint64_t>& words() const { return words_; }
   std::uint64_t word(std::size_t w) const { return words_[w]; }
+  // Overwrite word w (bits [64w, 64w+64)); bits past size() are dropped.
+  void set_word(std::size_t w, std::uint64_t value);
 
   // Byte accessors for interfacing page buffers; byte i covers bits
   // [8i, 8i+8) little-endian within the vector.

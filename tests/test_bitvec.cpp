@@ -141,6 +141,17 @@ TEST(BitVec, TailBitsStayMasked) {
   EXPECT_EQ(positions.back(), 69u);
 }
 
+TEST(BitVec, SetWordMasksTail) {
+  BitVec v(70);
+  v.set_word(0, 0x8000000000000001ull);
+  v.set_word(1, ~0ull);
+  EXPECT_TRUE(v.get(0));
+  EXPECT_TRUE(v.get(63));
+  EXPECT_FALSE(v.get(1));
+  EXPECT_EQ(v.popcount(), 2u + 6u);  // only the 6 live tail bits
+  EXPECT_THROW(v.set_word(2, 0), std::invalid_argument);
+}
+
 TEST(BitVec, EqualityIncludesLength) {
   BitVec a(10), b(10), c(11);
   EXPECT_TRUE(a == b);

@@ -39,6 +39,27 @@ TEST(Array, LevelBitConversionRoundTrip) {
   EXPECT_EQ(NandArray::levels_to_bits(levels), bits);
 }
 
+TEST(Array, WordwiseGrayCodingMatchesPerCellMapping) {
+  // 35 cells: one full 32-cell word plus a partial tail word.
+  Rng rng(9);
+  BitVec bits(70);
+  for (std::size_t i = 0; i < bits.size(); ++i) bits.set(i, rng.chance(0.5));
+  const auto levels = NandArray::bits_to_levels(bits);
+  ASSERT_EQ(levels.size(), 35u);
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    EXPECT_EQ(levels[i], bits_to_level(Bits2{bits.get(2 * i),
+                                             bits.get(2 * i + 1)}));
+  }
+  std::vector<Level> all(35);
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = kAllLevels[i % 4];
+  const BitVec packed = NandArray::levels_to_bits(all);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const Bits2 b = level_to_bits(all[i]);
+    EXPECT_EQ(packed.get(2 * i), b.msb);
+    EXPECT_EQ(packed.get(2 * i + 1), b.lsb);
+  }
+}
+
 TEST(Array, ProgramReadRoundTripAtBol) {
   // At beginning of life the RBER is ~2.5e-6: a single page (34.5k
   // bits) reads back error-free with overwhelming probability.
