@@ -27,6 +27,11 @@ std::uint64_t codes_to_bits(std::uint64_t codes) {
   return (~(c0 ^ c1) & kEvenBits) | ((~c1 & kEvenBits) << 1);
 }
 
+// Purposes of the per-page keyed substreams.
+constexpr std::uint64_t kErasedStream = 1;
+constexpr std::uint64_t kPlacementStream = 2;
+constexpr std::uint64_t kCellParamsStream = 3;
+
 }  // namespace
 
 NandArray::NandArray(const ArrayConfig& config)
@@ -38,14 +43,10 @@ NandArray::NandArray(const ArrayConfig& config)
             config.interference),
       disturb_(config.disturb),
       rng_(config.seed),
-      block_wear_(config.geometry.blocks, 0.0),
+      blocks_(config.geometry.blocks),
       pages_(config.geometry.pages()) {
   XLF_EXPECT(config.geometry.blocks >= 1);
   XLF_EXPECT(config.geometry.pages_per_block >= 1);
-  for (std::uint32_t b = 0; b < config_.geometry.blocks; ++b) {
-    erase_block(b);
-    block_wear_[b] = 0.0;  // factory-fresh: the first erase is free
-  }
 }
 
 void NandArray::check_addr(PageAddress addr) const {
@@ -63,35 +64,58 @@ const NandArray::PageState& NandArray::page(PageAddress addr) const {
   return pages_[addr.block * config_.geometry.pages_per_block + addr.page];
 }
 
+Rng NandArray::page_stream(PageAddress addr, std::uint64_t tag) const {
+  return Rng::keyed(config_.seed, addr.block, addr.page,
+                    blocks_[addr.block].generation, tag);
+}
+
+std::vector<Volts> NandArray::erased_thresholds(PageAddress addr) const {
+  Rng rng = page_stream(addr, kErasedStream);
+  std::vector<Volts> vth(config_.geometry.cells_per_page());
+  for (Volts& v : vth) {
+    v = variability_.sample_erased(rng, config_.plan.erased_mean,
+                                   config_.plan.erased_sigma);
+  }
+  return vth;
+}
+
+std::span<const Volts> NandArray::sense(PageAddress addr,
+                                        std::vector<Volts>& scratch) const {
+  const PageState& state = page(addr);
+  if (!state.vth.empty()) return state.vth;
+  scratch = erased_thresholds(addr);
+  return scratch;
+}
+
+std::vector<Volts>& NandArray::materialize(PageAddress addr) {
+  PageState& state = page(addr);
+  if (state.vth.empty()) state.vth = erased_thresholds(addr);
+  return state.vth;
+}
+
 void NandArray::erase_block(std::uint32_t block) {
   XLF_EXPECT(block < config_.geometry.blocks);
-  block_wear_[block] += 1.0;
-  const double wear_now = block_wear_[block];
+  BlockState& state = blocks_[block];
+  state.wear += 1.0;
+  state.wear_at_erase = state.wear;
+  ++state.generation;
   for (std::uint32_t p = 0; p < config_.geometry.pages_per_block; ++p) {
-    PageState& state = pages_[block * config_.geometry.pages_per_block + p];
-    state.programmed = false;
-    state.cells.clear();
-    // Erase rebuilds the page's cell population in place; clear()
-    // keeps capacity, so this recycles after the first cycle.
-    state.cells.reserve(config_.geometry.cells_per_page());  // xlf-lint: allow(hot-alloc)
-    for (std::uint32_t i = 0; i < config_.geometry.cells_per_page(); ++i) {
-      const Volts erased = variability_.sample_erased(
-          rng_, config_.plan.erased_mean, config_.plan.erased_sigma);
-      state.cells.emplace_back(  // xlf-lint: allow(hot-alloc)
-          erased, variability_.sample(rng_, wear_now));
-    }
+    PageState& page_state =
+        pages_[block * config_.geometry.pages_per_block + p];
+    page_state.programmed = false;
+    page_state.vth = std::vector<Volts>();  // release the memory
   }
 }
 
 double NandArray::wear(std::uint32_t block) const {
   XLF_EXPECT(block < config_.geometry.blocks);
-  return block_wear_[block];
+  return blocks_[block].wear;
 }
 
 void NandArray::set_wear(std::uint32_t block, double pe_cycles) {
   XLF_EXPECT(block < config_.geometry.blocks);
   XLF_EXPECT(pe_cycles >= 0.0);
-  block_wear_[block] = pe_cycles;
+  blocks_[block].wear = pe_cycles;
 }
 
 bool NandArray::is_erased(PageAddress addr) const {
@@ -129,19 +153,26 @@ BitVec NandArray::levels_to_bits(const std::vector<Level>& levels) {
 ProgramResult NandArray::program_page(PageAddress addr, const BitVec& bits,
                                       ProgramAlgorithm algo,
                                       ProgramMode mode) {
-  PageState& state = page(addr);
-  XLF_EXPECT(!state.programmed);  // NAND constraint: program-after-erase
+  XLF_EXPECT(!page(addr).programmed);  // NAND constraint: program-after-erase
   XLF_EXPECT(bits.size() == config_.geometry.bits_per_page());
   const auto targets = bits_to_levels(bits);
-  const double pe = block_wear_[addr.block];
+  const BlockState& block = blocks_[addr.block];
+  const double pe = block.wear;
+  std::vector<Volts>& vth = materialize(addr);
 
   ProgramResult result;
   if (mode == ProgramMode::kIsppSimulation) {
-    std::vector<Volts> before(state.cells.size());
-    for (std::size_t i = 0; i < state.cells.size(); ++i) {
-      before[i] = state.cells[i].vth();
+    // The pulse engine needs full cells: the page's thresholds plus
+    // per-cell parameters drawn at the wear of the last erase.
+    Rng params_rng = page_stream(addr, kCellParamsStream);
+    // Page-sized on the first ISPP program, recycled afterwards.
+    ispp_cells_.resize(vth.size());  // xlf-lint: allow(hot-alloc)
+    const std::span<FloatingGateCell> cells(ispp_cells_);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      cells[i] = FloatingGateCell(
+          vth[i], variability_.sample(params_rng, block.wear_at_erase));
     }
-    result.trace = ispp_.program(state.cells, targets, algo, rng_,
+    result.trace = ispp_.program(cells, targets, algo, rng_,
                                  config_.aging.dv_zone_multiplier(pe));
     result.ok = result.trace->converged;
 
@@ -149,54 +180,53 @@ ProgramResult NandArray::program_page(PageAddress addr, const BitVec& bits,
     // aggregate of trap-assisted shifts, early retention and disturb
     // that the RBER calibration attributes to read time.
     const double wear_spread = rber_.wear_sigma(algo, pe).value();
-    for (std::size_t i = 0; i < state.cells.size(); ++i) {
+    for (std::size_t i = 0; i < cells.size(); ++i) {
       if (targets[i] != Level::kL0) {
-        state.cells[i].shift(Volts{rng_.gaussian(0.0, wear_spread)});
+        cells[i].shift(Volts{rng_.gaussian(0.0, wear_spread)});
       }
     }
 
     // Within-page parasitic coupling from the programming displacement.
-    std::vector<Volts> deltas(state.cells.size());
-    for (std::size_t i = 0; i < state.cells.size(); ++i) {
-      deltas[i] = state.cells[i].vth() - before[i];
+    std::vector<Volts> deltas(cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      deltas[i] = cells[i].vth() - vth[i];
     }
-    interference_.apply_within_page(state.cells, deltas);
+    interference_.apply_within_page(cells, deltas);
+    for (std::size_t i = 0; i < cells.size(); ++i) vth[i] = cells[i].vth();
   } else {
     // Statistical placement: sample the calibrated read-time
-    // distribution directly.
+    // distribution directly, from the page's own keyed substream.
     std::array<LevelDistribution, 4> dists;
     for (Level level : kAllLevels) {
       dists[static_cast<std::size_t>(level)] =
           rber_.distribution(level, algo, pe);
     }
-    for (std::size_t i = 0; i < state.cells.size(); ++i) {
+    Rng rng = page_stream(addr, kPlacementStream);
+    for (std::size_t i = 0; i < vth.size(); ++i) {
       if (targets[i] == Level::kL0) continue;  // erased cells stay put
       const LevelDistribution& dist =
           dists[static_cast<std::size_t>(targets[i])];
-      state.cells[i].erase(
-          Volts{rng_.gaussian(dist.mean.value(), dist.sigma.value())});
+      vth[i] = Volts{rng.gaussian(dist.mean.value(), dist.sigma.value())};
     }
   }
 
-  for (const auto& cell : state.cells) {
-    if (config_.plan.is_over_programmed(cell.vth())) {
-      ++result.over_programmed_cells;
-    }
+  for (const Volts v : vth) {
+    if (config_.plan.is_over_programmed(v)) ++result.over_programmed_cells;
   }
-  state.programmed = true;
+  page(addr).programmed = true;
   return result;
 }
 
 BitVec NandArray::read_page(PageAddress addr) const {
-  const PageState& state = page(addr);
+  std::vector<Volts> scratch;
+  const std::span<const Volts> vth = sense(addr, scratch);
   BitVec bits(config_.geometry.bits_per_page());
   for (std::size_t w = 0; w < bits.words().size(); ++w) {
     const std::size_t first = w * kCellsPerWord;
-    const std::size_t end =
-        std::min(state.cells.size(), first + kCellsPerWord);
+    const std::size_t end = std::min(vth.size(), first + kCellsPerWord);
     std::uint64_t codes = 0;
     for (std::size_t i = first; i < end; ++i) {
-      const Level level = config_.plan.read_level(state.cells[i].vth());
+      const Level level = config_.plan.read_level(vth[i]);
       codes |= static_cast<std::uint64_t>(level) << (2 * (i - first));
     }
     bits.set_word(w, codes_to_bits(codes));
@@ -205,47 +235,43 @@ BitVec NandArray::read_page(PageAddress addr) const {
 }
 
 std::vector<Level> NandArray::read_levels(PageAddress addr) const {
-  const PageState& state = page(addr);
-  std::vector<Level> levels(state.cells.size());
-  for (std::size_t i = 0; i < state.cells.size(); ++i) {
-    levels[i] = config_.plan.read_level(state.cells[i].vth());
+  std::vector<Volts> scratch;
+  const std::span<const Volts> vth = sense(addr, scratch);
+  std::vector<Level> levels(vth.size());
+  for (std::size_t i = 0; i < vth.size(); ++i) {
+    levels[i] = config_.plan.read_level(vth[i]);
   }
   return levels;
 }
 
 std::vector<Volts> NandArray::thresholds(PageAddress addr) const {
   const PageState& state = page(addr);
-  std::vector<Volts> out(state.cells.size());
-  for (std::size_t i = 0; i < state.cells.size(); ++i) {
-    out[i] = state.cells[i].vth();
-  }
-  return out;
+  return state.vth.empty() ? erased_thresholds(addr) : state.vth;
 }
 
 void NandArray::apply_retention(PageAddress addr, double hours) {
   PageState& state = page(addr);
   XLF_EXPECT(state.programmed && "retention stress targets written data");
-  const double pe = block_wear_[addr.block];
+  const double pe = blocks_[addr.block].wear;
   const double mean = disturb_.retention_mean(hours, pe).value();
   const double sigma = disturb_.retention_sigma(hours, pe).value();
-  for (auto& cell : state.cells) {
+  for (Volts& v : state.vth) {
     // Only cells holding charge detrap; the erased level is its own
     // equilibrium.
-    if (cell.vth() < config_.plan.read[0]) continue;
+    if (v < config_.plan.read[0]) continue;
     const double loss = std::max(0.0, rng_.gaussian(mean, sigma));
-    cell.shift(Volts{-loss});
+    v = v - Volts{loss};
   }
 }
 
 void NandArray::apply_read_disturb(PageAddress addr,
                                    unsigned long long reads) {
-  PageState& state = page(addr);
   const double mean = disturb_.read_disturb_shift(reads).value();
-  for (auto& cell : state.cells) {
+  for (Volts& v : materialize(addr)) {
     // Weak gate stress mostly moves the erased population upward.
-    if (cell.vth() >= config_.plan.read[0]) continue;
+    if (v >= config_.plan.read[0]) continue;
     const double shift = std::max(0.0, rng_.gaussian(mean, 0.3 * mean));
-    cell.shift(Volts{shift});
+    v = v + Volts{shift};
   }
 }
 
@@ -264,8 +290,8 @@ double monte_carlo_rber(const ArrayConfig& base_config, ProgramAlgorithm algo,
   std::uint64_t bits_total = 0;
   const PageAddress addr{0, 0};
   for (unsigned p = 0; p < pages; ++p) {
-    // Set the wear before erasing so the fresh cell population is
-    // sampled with the aged parameters.
+    // Set the wear before erasing so the ISPP cell parameters are
+    // drawn at the aged state.
     array.set_wear(0, pe_cycles);
     array.erase_block(0);
     array.set_wear(0, pe_cycles);

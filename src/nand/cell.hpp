@@ -48,8 +48,7 @@ class FloatingGateCell {
   // mechanism for half-step programming near the verify level.
   void apply_pulse(Volts vcg, Rng& rng, Volts bitline_bias = Volts{0.0});
 
-  // Erase to the given threshold (block erase samples a fresh erased
-  // distribution; retention state resets).
+  // Set the threshold to an erased-state value.
   void erase(Volts new_vth) { vth_ = new_vth; }
 
   // External threshold shifts: cell-to-cell interference, retention

@@ -3,9 +3,13 @@
 // instead of mutating its NandArray inline.
 //
 // The determinism contract is ordering, not threading: jobs drain in
-// exactly the order they were pushed, so the die's array — including
-// its private noise Rng stream — passes through the same state
-// sequence as the undeferred execution. Which thread runs drain() is
+// exactly the order they were pushed, so the die's array passes
+// through the same state sequence as the undeferred execution.
+// Statistical-mode placement draws from substreams keyed by (block,
+// page, erase generation), so the order across pages does not change
+// a page's cells; what must stay in push order is each block's
+// erase / wear / program sequence, which fixes the generation and the
+// wear a page is programmed at. Which thread runs drain() is
 // irrelevant to the bytes produced; the only rule is that push() and
 // drain() never run concurrently on the same queue. The simulator
 // upholds it structurally: pushes happen on the issue thread, and

@@ -76,8 +76,8 @@ ReadOutcome NandDevice::read_page(PageAddress addr) const {
   XLF_EXPECT(array_ != nullptr && "metadata-only devices service reads from "
                                   "the controller's timing models");
   // A read senses the cells as they stand, so any deferred program /
-  // erase work for this die must land first (in push order — the
-  // array's noise stream stays byte-identical to inline execution).
+  // erase work for this die must land first (in push order, so every
+  // page sees the same erase generation and wear as inline execution).
   if (deferred_ != nullptr) deferred_->drain();
   ReadOutcome outcome;
   outcome.data = array_->read_page(addr);

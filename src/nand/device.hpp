@@ -137,8 +137,8 @@ class NandDevice {
   std::size_t page_index(PageAddress addr) const;
 
   DeviceConfig config_;
-  // nullptr on metadata-only devices (constructing the array samples
-  // every cell of every block — exactly the cost that mode avoids).
+  // nullptr on metadata-only devices, which skip the array's
+  // per-page threshold storage and cell sampling on program and read.
   std::unique_ptr<NandArray> array_;
   NandTiming timing_;
   std::vector<ProgramAlgorithm> resident_;

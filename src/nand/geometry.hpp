@@ -2,10 +2,11 @@
 //
 // The ECC block size matches the paper: 4 KB data pages with a spare
 // area sized for the worst-case t = 65 parity (1040 bits) plus file
-// system metadata. Bit-true array simulation is memory-hungry (every
-// cell carries an analog threshold voltage), so the default simulated
-// array is a small corner of a real die; all per-page behaviour is
-// unaffected by the block count.
+// system metadata. The bit-true array stores an analog threshold per
+// cell (8 B) only for pages that hold data; erased pages cost a few
+// bytes of bookkeeping. The default simulated array is still a small
+// corner of a real die; all per-page behaviour is unaffected by the
+// block count.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,7 @@
 #include "src/util/rng.hpp"
 
 #include <cmath>
+#include <initializer_list>
 
 #include "src/util/expect.hpp"
 
@@ -107,5 +108,18 @@ std::uint64_t Rng::poisson(double lambda) {
 }
 
 Rng Rng::fork() { return Rng(next()); }
+
+Rng Rng::keyed(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
+               std::uint64_t c, std::uint64_t tag) {
+  // Each step is a bijection of the component for a fixed prefix, so
+  // two keys that differ in one component never fold to the same seed.
+  std::uint64_t x = seed;
+  std::uint64_t h = splitmix64(x);
+  for (const std::uint64_t part : {a, b, c, tag}) {
+    x = h ^ part;
+    h = splitmix64(x);
+  }
+  return Rng(h);
+}
 
 }  // namespace xlf

@@ -43,6 +43,14 @@ class Rng {
   // Derive an independent stream, e.g. one per cell/page/worker.
   Rng fork();
 
+  // Counter-based substream for the key (seed, a, b, c, tag), e.g.
+  // (array seed, block, page, erase generation, purpose). The key is
+  // folded through SplitMix64 one component at a time, so keys that
+  // differ in any single component seed different streams, and a
+  // stream never depends on which other keys were drawn before it.
+  static Rng keyed(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
+                   std::uint64_t c, std::uint64_t tag);
+
  private:
   std::array<std::uint64_t, 4> state_{};
   double cached_gaussian_ = 0.0;

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "src/util/stats.hpp"
 
@@ -160,6 +164,54 @@ TEST(Rng, ForkProducesIndependentStream) {
     if (parent.next() == child.next()) ++same;
   }
   EXPECT_EQ(same, 0);
+}
+
+TEST(RngKeyed, SameKeySameStream) {
+  Rng a = Rng::keyed(9, 1, 2, 3, 4);
+  Rng b = Rng::keyed(9, 1, 2, 3, 4);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());
+}
+
+TEST(RngKeyed, EachKeyComponentChangesTheStream) {
+  const std::array<std::uint64_t, 5> base{9, 1, 2, 3, 4};
+  const auto first_draw = [](const std::array<std::uint64_t, 5>& k) {
+    return Rng::keyed(k[0], k[1], k[2], k[3], k[4]).next();
+  };
+  std::vector<std::uint64_t> draws{first_draw(base)};
+  for (std::size_t component = 0; component < base.size(); ++component) {
+    for (const std::uint64_t delta : {1ull, 1ull << 63}) {
+      std::array<std::uint64_t, 5> key = base;
+      key[component] ^= delta;
+      draws.push_back(first_draw(key));
+    }
+  }
+  std::sort(draws.begin(), draws.end());
+  EXPECT_EQ(std::adjacent_find(draws.begin(), draws.end()), draws.end());
+}
+
+TEST(RngKeyed, AdjacentKeysGiveIndependentGaussians) {
+  // First-draw Gaussians over 10^4 adjacent keys, stepping one key
+  // component at a time: mean, variance and lag-1 correlation within
+  // 4 standard errors of N(0, 1).
+  constexpr int kKeys = 10000;
+  const double n = kKeys;
+  for (int component = 0; component < 5; ++component) {
+    RunningStats stats;
+    double lag1 = 0.0;
+    double previous = 0.0;
+    for (int k = 0; k < kKeys; ++k) {
+      std::array<std::uint64_t, 5> key{1, 0, 0, 0, 0};
+      key[component] += static_cast<std::uint64_t>(k);
+      const double g =
+          Rng::keyed(key[0], key[1], key[2], key[3], key[4]).gaussian();
+      if (k > 0) lag1 += g * previous;
+      previous = g;
+      stats.add(g);
+    }
+    EXPECT_NEAR(stats.mean(), 0.0, 4.0 / std::sqrt(n)) << component;
+    EXPECT_NEAR(stats.variance(), 1.0, 4.0 * std::sqrt(2.0 / n)) << component;
+    EXPECT_NEAR(lag1 / (n - 1.0), 0.0, 4.0 / std::sqrt(n)) << component;
+  }
 }
 
 }  // namespace
