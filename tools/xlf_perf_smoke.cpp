@@ -8,9 +8,11 @@
 // only the machine-independent claim, the indexed-vs-linear speedup.
 //
 // Usage: xlf_perf_smoke [--check] [OUT.json]   (default: stdout)
+//        xlf_perf_smoke --help                  (exit 0)
+// Any other flag is rejected with the usage text and exit code 2,
+// before anything is measured or written.
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -152,16 +154,36 @@ std::string num(double v) {
   return out.str();
 }
 
+constexpr const char* kUsage =
+    "usage: xlf_perf_smoke [--check] [OUT.json]\n"
+    "  Measures the hot-path rows and writes them as JSON to OUT.json\n"
+    "  (default: stdout).\n"
+    "  --check  exit 1 unless the indexed victim pick beats the linear\n"
+    "           scan by >= 10x\n"
+    "  --help   print this text and exit\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bool check = false;
   std::string out_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) {
+    const std::string arg = argv[i];
+    if (arg == "--check") {
       check = true;
+    } else if (arg == "--help" || arg == "-h") {
+      std::cout << kUsage;
+      return 0;
+    } else if (arg.size() > 1 && arg[0] == '-') {
+      std::cerr << "xlf_perf_smoke: unknown flag '" << arg << "'\n" << kUsage;
+      return 2;
+    } else if (!out_path.empty()) {
+      std::cerr << "xlf_perf_smoke: more than one output path ('" << out_path
+                << "', '" << arg << "')\n"
+                << kUsage;
+      return 2;
     } else {
-      out_path = argv[i];
+      out_path = arg;
     }
   }
 
