@@ -48,9 +48,6 @@ class FloatingGateCell {
   // mechanism for half-step programming near the verify level.
   void apply_pulse(Volts vcg, Rng& rng, Volts bitline_bias = Volts{0.0});
 
-  // Set the threshold to an erased-state value.
-  void erase(Volts new_vth) { vth_ = new_vth; }
-
   // External threshold shifts: cell-to-cell interference, retention
   // loss, disturb.
   void shift(Volts delta) { vth_ = vth_ + delta; }

@@ -93,11 +93,11 @@ TEST(Cell, InjectionNoiseScalesWithStep) {
   EXPECT_NEAR(large_steps.stddev(), 0.05 * std::sqrt(3.0), 0.01);
 }
 
-TEST(Cell, EraseAndShift) {
+TEST(Cell, ShiftMovesThreshold) {
   FloatingGateCell cell(Volts{2.0}, quiet_params());
   cell.shift(Volts{0.5});
   EXPECT_NEAR(cell.vth().value(), 2.5, 1e-12);
-  cell.erase(Volts{-3.2});
+  cell.shift(Volts{-5.7});
   EXPECT_NEAR(cell.vth().value(), -3.2, 1e-12);
 }
 
