@@ -1,16 +1,11 @@
 #include "src/controller/controller.hpp"
 
+#include <algorithm>
+
 #include "src/util/expect.hpp"
 #include "src/util/log.hpp"
 
 namespace xlf::controller {
-namespace {
-
-std::pair<std::uint32_t, std::uint32_t> key_of(nand::PageAddress addr) {
-  return {addr.block, addr.page};
-}
-
-}  // namespace
 
 MemoryController::MemoryController(const ControllerConfig& config,
                                    nand::NandDevice& device,
@@ -22,14 +17,26 @@ MemoryController::MemoryController(const ControllerConfig& config,
       ecc_(config.codec, config.ecc_hw),
       reliability_(config.reliability, config.tuning_policy,
                    device.config().array.aging),
-      nand_power_(hv_config, device.timing()) {
+      nand_power_(hv_config, device.timing()),
+      page_t_(device.geometry().pages(), 0),
+      page_reference_(device.config().data_plane ? device.geometry().pages()
+                                                 : 0) {
   // The codeword for t_max must fit the device page.
   const bch::CodeParams worst{config.codec.m, config.codec.k,
                               config.codec.t_max};
   XLF_EXPECT(worst.n() <= device.geometry().bits_per_page());
   XLF_EXPECT(config.codec.k == device.geometry().data_bits_per_page());
+  XLF_EXPECT(config.codec.t_max <= UINT16_MAX);
   registers_.set_ecc_capability(ecc_.correction_capability());
   registers_.set_program_algorithm(device.program_algorithm());
+}
+
+std::size_t MemoryController::page_slot(nand::PageAddress addr) const {
+  const nand::Geometry& geometry = device_->geometry();
+  XLF_EXPECT(addr.block < geometry.blocks &&
+             addr.page < geometry.pages_per_block && "page out of range");
+  return static_cast<std::size_t>(addr.block) * geometry.pages_per_block +
+         addr.page;
 }
 
 void MemoryController::set_correction_capability(unsigned t) {
@@ -64,6 +71,7 @@ unsigned MemoryController::adapt_ecc(double pe_cycles) {
 WriteResult MemoryController::write_page(nand::PageAddress addr,
                                          const BitVec& data) {
   if (!device_->config().data_plane) return write_page_meta(addr, data);
+  const std::size_t slot = page_slot(addr);
   XLF_EXPECT(data.size() == config_.codec.k);
   WriteResult result;
   registers_.set_busy(true);
@@ -92,7 +100,8 @@ WriteResult MemoryController::write_page(nand::PageAddress addr,
   result.latency += programmed.busy_time;
   result.nand_energy += nand_power_.program_energy(program_algorithm(), wear);
 
-  page_meta_[key_of(addr)] = PageMeta{result.t_used, encoded.codeword};
+  page_t_[slot] = static_cast<std::uint16_t>(result.t_used);
+  page_reference_[slot] = encoded.codeword;
   registers_.set_busy(false);
   registers_.set_error(!result.ok);
   return result;
@@ -104,6 +113,7 @@ WriteResult MemoryController::write_page_meta(nand::PageAddress addr,
   // path — OCP burst + buffer stream, model encode, statistical-mode
   // program time — with no payload bits moved (callers pass empty or
   // full-size data; only its modeled size matters).
+  const std::size_t slot = page_slot(addr);
   XLF_EXPECT(data.size() == config_.codec.k || data.size() == 0);
   const std::size_t k = config_.codec.k;
   WriteResult result;
@@ -127,17 +137,17 @@ WriteResult MemoryController::write_page_meta(nand::PageAddress addr,
   result.latency += programmed.busy_time;
   result.nand_energy += nand_power_.program_energy(program_algorithm(), wear);
 
-  page_meta_[key_of(addr)] = PageMeta{result.t_used, BitVec(0)};
+  page_t_[slot] = static_cast<std::uint16_t>(result.t_used);
   registers_.set_busy(false);
   registers_.set_error(!result.ok);
   return result;
 }
 
 ReadResult MemoryController::read_page(nand::PageAddress addr) {
-  const auto meta_it = page_meta_.find(key_of(addr));
-  XLF_EXPECT(meta_it != page_meta_.end() && "reading an unwritten page");
-  const PageMeta& meta = meta_it->second;
-  if (!device_->config().data_plane) return read_page_meta(meta);
+  const std::size_t slot = page_slot(addr);
+  const unsigned t = page_t_[slot];
+  XLF_EXPECT(t != 0 && "reading an unwritten page");
+  if (!device_->config().data_plane) return read_page_meta(t);
 
   ReadResult result;
   registers_.set_busy(true);
@@ -149,12 +159,12 @@ ReadResult MemoryController::read_page(nand::PageAddress addr) {
 
   // Decode with the capability the page was written at.
   const unsigned current_t = ecc_.correction_capability();
-  ecc_.set_correction_capability(meta.t);
+  ecc_.set_correction_capability(t);
   const bch::CodeParams params = ecc_.current_params();
   BitVec codeword = raw.data.slice(0, params.n());
   const DecodeOutcome decoded =
       config_.simulation_fast_decode
-          ? ecc_.decode_with_reference(codeword, meta.reference)
+          ? ecc_.decode_with_reference(codeword, page_reference_[slot])
           : ecc_.decode(codeword);
   result.latency += decoded.latency;
   result.ecc_energy += decoded.energy;
@@ -170,7 +180,7 @@ ReadResult MemoryController::read_page(nand::PageAddress addr) {
   // would bias the estimator down exactly when the error rate
   // explodes.
   const unsigned observed_errors =
-      result.uncorrectable ? meta.t + 1 : decoded.result.corrected;
+      result.uncorrectable ? t + 1 : decoded.result.corrected;
   reliability_.observe_decode(observed_errors, params.n());
   registers_.record_decode(decoded.result.corrected, result.uncorrectable);
 
@@ -186,7 +196,7 @@ ReadResult MemoryController::read_page(nand::PageAddress addr) {
   return result;
 }
 
-ReadResult MemoryController::read_page_meta(const PageMeta& meta) {
+ReadResult MemoryController::read_page_meta(unsigned t) {
   // Metadata-only read service: sensing time + the worst-case decode
   // at the page's written t (the paper's throughput convention) and a
   // clean-decode outcome — no cells exist to produce errors, so the
@@ -198,9 +208,9 @@ ReadResult MemoryController::read_page_meta(const PageMeta& meta) {
   result.latency += device_->timing().read_time();
   result.nand_energy += nand_power_.read_energy();
 
-  const bch::CodeParams params{config_.codec.m, config_.codec.k, meta.t};
-  result.latency += ecc_.latency_model().decode_latency(meta.t);
-  result.ecc_energy += ecc_.power_model().decode_energy(meta.t, 0.0);
+  const bch::CodeParams params{config_.codec.m, config_.codec.k, t};
+  result.latency += ecc_.latency_model().decode_latency(t);
+  result.ecc_energy += ecc_.power_model().decode_energy(t, 0.0);
   result.data = BitVec(config_.codec.k);
 
   reliability_.observe_decode(0, params.n());
@@ -220,8 +230,13 @@ ReadResult MemoryController::read_page_meta(const PageMeta& meta) {
 Seconds MemoryController::erase_block(std::uint32_t block) {
   const nand::EraseOutcome outcome = device_->erase_block(block);
   // Invalidate metadata of the erased pages.
-  for (std::uint32_t p = 0; p < device_->geometry().pages_per_block; ++p) {
-    page_meta_.erase({block, p});
+  const std::uint32_t pages = device_->geometry().pages_per_block;
+  const std::size_t first = page_slot({block, 0});
+  std::fill_n(page_t_.begin() + static_cast<std::ptrdiff_t>(first), pages, 0);
+  if (!page_reference_.empty()) {
+    for (std::size_t slot = first; slot < first + pages; ++slot) {
+      page_reference_[slot] = BitVec();
+    }
   }
   return outcome.busy_time;
 }

@@ -5,13 +5,17 @@
 // which is what the throughput figures integrate.
 //
 // Per-page metadata: a page is decoded with the correction capability
-// it was encoded with, so the controller keeps the (t, algorithm)
-// used at write time per page — the model of the config metadata a
-// real controller stores in the spare area.
+// it was encoded with, so the controller keeps the t used at write
+// time per page — the model of the config metadata a real controller
+// stores in the spare area. The table is dense, one entry per device
+// page indexed by block * pages_per_block + page; t == 0 marks a page
+// that has not been written since its last erase (no code has t = 0).
+// The written codewords (the simulation fast decode's reference) are
+// kept on the bit-true plane only.
 #pragma once
 
-#include <map>
-#include <optional>
+#include <cstdint>
+#include <vector>
 
 #include "src/controller/ecc_unit.hpp"
 #include "src/controller/ocp.hpp"
@@ -102,17 +106,16 @@ class MemoryController {
   Seconds write_latency(double pe_cycles) const;
 
  private:
-  struct PageMeta {
-    unsigned t = 0;
-    BitVec reference;  // written codeword (simulation fast decode)
-  };
+  // Dense index of a page in the metadata table; rejects an address
+  // outside the device.
+  std::size_t page_slot(nand::PageAddress addr) const;
 
   // Metadata-only device service (DeviceConfig::data_plane == false):
   // the same pipeline arithmetic fed from the timing/energy models
   // alone — no payload bits move, reads model a clean worst-case
   // decode of an all-zero page.
   WriteResult write_page_meta(nand::PageAddress addr, const BitVec& data);
-  ReadResult read_page_meta(const PageMeta& meta);
+  ReadResult read_page_meta(unsigned t);
 
   ControllerConfig config_;
   nand::NandDevice* device_;
@@ -122,7 +125,10 @@ class MemoryController {
   EccUnit ecc_;
   ReliabilityManager reliability_;
   hv::NandPowerModel nand_power_;
-  std::map<std::pair<std::uint32_t, std::uint32_t>, PageMeta> page_meta_;
+  // t each page was written at, 0 while unwritten (fits: t < 2^m <= 2^16).
+  std::vector<std::uint16_t> page_t_;
+  // Written codeword per page (bit-true plane only; empty otherwise).
+  std::vector<BitVec> page_reference_;
 };
 
 }  // namespace xlf::controller

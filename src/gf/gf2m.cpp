@@ -48,9 +48,9 @@ void Gf2m::build_tables() {
     // The polynomial is primitive iff alpha's powers only return to 1
     // after exactly 2^m - 1 steps.
     XLF_EXPECT(!(i > 0 && x == 1) && "polynomial is not primitive");
-    exp_[i] = x;
-    exp_[i + n] = x;
-    log_[x] = i;
+    exp_[i] = static_cast<std::uint16_t>(x);
+    exp_[i + n] = static_cast<std::uint16_t>(x);
+    log_[x] = static_cast<std::uint16_t>(i);
     x <<= 1;
     if (x & q) x ^= poly_;
   }

@@ -53,10 +53,12 @@ class Gf2m {
  private:
   void build_tables();
 
+  // Elements and logs are below 2^m <= 2^16, so both tables hold
+  // 16-bit entries (384 KB for GF(2^16) instead of 768 KB).
   unsigned m_;
   std::uint32_t poly_;
-  std::vector<Element> exp_;        // exp_[i] = alpha^i, doubled to skip mod
-  std::vector<std::uint32_t> log_;  // log_[a] = i with alpha^i = a
+  std::vector<std::uint16_t> exp_;  // exp_[i] = alpha^i, doubled to skip mod
+  std::vector<std::uint16_t> log_;  // log_[a] = i with alpha^i = a
 };
 
 }  // namespace xlf::gf

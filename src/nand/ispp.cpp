@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 
 #include "src/util/expect.hpp"
 
@@ -48,17 +49,41 @@ IsppTrace IsppEngine::program(std::span<FloatingGateCell> cells,
     }
   }
 
+  // Active sets, sized once and shrunk by count: `active` holds every
+  // cell still being pulsed, in ascending index order — the order the
+  // pulses draw from `rng` — and `index` past it holds one ascending
+  // list per level L1..L3 starting at level_begin[level], whose length
+  // is that level's pending count. Verify scans walk only their level's
+  // pending cells instead of the whole population.
+  XLF_EXPECT(cells.size() <= UINT32_MAX);
+  std::size_t active_count =
+      pending_per_level[1] + pending_per_level[2] + pending_per_level[3];
+  std::vector<std::uint32_t> index(2 * active_count);
+  const std::span<std::uint32_t> active(index.data(), active_count);
+  std::uint32_t* const by_level = index.data() + active_count;
+  const std::array<std::size_t, 4> level_begin{
+      0, 0, pending_per_level[1], pending_per_level[1] + pending_per_level[2]};
+  {
+    std::array<std::size_t, 4> fill = level_begin;
+    std::size_t next_active = 0;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      if (state[i] == State::kInhibited) continue;
+      const auto cell = static_cast<std::uint32_t>(i);
+      active[next_active++] = cell;
+      by_level[fill[static_cast<std::size_t>(targets[i])]++] = cell;
+    }
+  }
+
   Volts vcg = config_.v_start;
   for (unsigned pulse = 0; pulse < config_.max_pulses; ++pulse) {
-    const bool any_pending =
-        pending_per_level[1] + pending_per_level[2] + pending_per_level[3] > 0;
-    if (!any_pending) break;
+    if (active_count == 0) break;
 
     // --- program pulse ------------------------------------------------
-    for (std::size_t i = 0; i < cells.size(); ++i) {
+    for (std::size_t k = 0; k < active_count; ++k) {
+      const std::uint32_t i = active[k];
       if (state[i] == State::kPulsing) {
         cells[i].apply_pulse(vcg, rng);
-      } else if (state[i] == State::kSlowZone) {
+      } else {
         cells[i].apply_pulse(vcg, rng, config_.dv_bitline_bias);
       }
     }
@@ -68,9 +93,11 @@ IsppTrace IsppEngine::program(std::span<FloatingGateCell> cells,
     trace.vcg_time_integral += vcg.value() * config_.pulse_time.value();
 
     // --- verify phase ---------------------------------------------
+    bool inhibited_any = false;
     for (Level level : {Level::kL1, Level::kL2, Level::kL3}) {
       const auto li = static_cast<std::size_t>(level);
       if (pending_per_level[li] == 0) continue;
+      std::uint32_t* const pending = by_level + level_begin[li];
 
       // Smart scheduling: sense this level only when its fastest
       // pending cell is within lookahead of the sensing voltage — the
@@ -80,10 +107,8 @@ IsppTrace IsppEngine::program(std::span<FloatingGateCell> cells,
           vfy - plan_.pre_verify_offset * dv_zone_multiplier;
       const Volts sense_from = double_verify ? pre : vfy;
       Volts fastest{-100.0};
-      for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (targets[i] == level && state[i] != State::kInhibited) {
-          fastest = std::max(fastest, cells[i].vth());
-        }
+      for (std::size_t k = 0; k < pending_per_level[li]; ++k) {
+        fastest = std::max(fastest, cells[pending[k]].vth());
       }
       if (fastest < sense_from - config_.verify_lookahead) continue;
 
@@ -91,24 +116,37 @@ IsppTrace IsppEngine::program(std::span<FloatingGateCell> cells,
         // Pre-verify sense: move cells past VFYp into the slow zone.
         ++trace.verify_ops;
         trace.verify_pump_time += config_.verify_time;
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-          if (targets[i] == level && state[i] == State::kPulsing &&
-              cells[i].vth() >= pre) {
+        for (std::size_t k = 0; k < pending_per_level[li]; ++k) {
+          const std::uint32_t i = pending[k];
+          if (state[i] == State::kPulsing && cells[i].vth() >= pre) {
             state[i] = State::kSlowZone;
           }
         }
       }
 
-      // Main verify sense: inhibit cells that reached the level.
+      // Main verify sense: inhibit cells that reached the level, and
+      // keep the rest in order at the front of the level's list.
       ++trace.verify_ops;
       trace.verify_pump_time += config_.verify_time;
-      for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (targets[i] == level && state[i] != State::kInhibited &&
-            cells[i].vth() >= vfy) {
+      std::size_t kept = 0;
+      for (std::size_t k = 0; k < pending_per_level[li]; ++k) {
+        const std::uint32_t i = pending[k];
+        if (cells[i].vth() >= vfy) {
           state[i] = State::kInhibited;
-          --pending_per_level[li];
+        } else {
+          pending[kept++] = i;
         }
       }
+      inhibited_any = inhibited_any || kept != pending_per_level[li];
+      pending_per_level[li] = kept;
+    }
+
+    if (inhibited_any) {
+      std::size_t kept = 0;
+      for (std::size_t k = 0; k < active_count; ++k) {
+        if (state[active[k]] != State::kInhibited) active[kept++] = active[k];
+      }
+      active_count = kept;
     }
 
     vcg = std::min(vcg + config_.v_step, config_.v_end);

@@ -1,5 +1,7 @@
 #include "src/sim/event_queue.hpp"
 
+#include <algorithm>
+
 #include "src/util/expect.hpp"
 
 namespace xlf::sim {
@@ -7,7 +9,10 @@ namespace xlf::sim {
 void EventQueue::schedule_at(Seconds when, Callback fn) {
   XLF_EXPECT(when >= now_);
   XLF_EXPECT(fn != nullptr);
-  heap_.push(Event{when.value(), next_sequence_++, std::move(fn)});
+  // Grows to the peak number of in-flight events, then reuses it.
+  // xlf-lint: allow(hot-alloc)
+  heap_.push_back(Event{when.value(), next_sequence_++, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 void EventQueue::schedule_in(Seconds delay, Callback fn) {
@@ -17,9 +22,10 @@ void EventQueue::schedule_in(Seconds delay, Callback fn) {
 
 bool EventQueue::step() {
   if (heap_.empty()) return false;
-  // Copy out before pop: the callback may schedule new events.
-  Event event = heap_.top();
-  heap_.pop();
+  // Move out before running: the callback may schedule new events.
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Event event = std::move(heap_.back());
+  heap_.pop_back();
   now_ = Seconds{event.when};
   event.fn();
   return true;
@@ -36,7 +42,7 @@ std::size_t EventQueue::run(std::size_t limit) {
 
 std::size_t EventQueue::run_until(Seconds until) {
   std::size_t executed = 0;
-  while (!heap_.empty() && heap_.top().when <= until.value()) {
+  while (!heap_.empty() && heap_.front().when <= until.value()) {
     step();
     ++executed;
   }

@@ -2,11 +2,15 @@
 // time-ordered queue of callbacks with a monotonic clock. Events at
 // equal timestamps fire in scheduling order (stable sequence
 // numbers), which keeps request/completion chains deterministic.
+//
+// The events sit in a binary min-heap on a plain vector ordered by
+// (when, sequence); the key is unique, so the firing order is fixed
+// whatever the heap layout. step() moves the callback out of the heap
+// instead of copying it.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "src/util/units.hpp"
@@ -29,7 +33,7 @@ class EventQueue {
   // Drop every pending event without running it — the power-loss
   // path: a killed simulation must not fire callbacks scheduled by
   // the pre-crash timeline. The clock stays where it stopped.
-  void clear() { heap_ = {}; }
+  void clear() { heap_.clear(); }
 
   // Run the next event; returns false when the queue is empty.
   bool step();
@@ -44,6 +48,8 @@ class EventQueue {
     std::uint64_t sequence;
     Callback fn;
   };
+  // Heap comparator: "a fires after b", so the heap front is the
+  // earliest (when, sequence).
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
       if (a.when != b.when) return a.when > b.when;
@@ -53,7 +59,7 @@ class EventQueue {
 
   Seconds now_{0.0};
   std::uint64_t next_sequence_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  std::vector<Event> heap_;
 };
 
 }  // namespace xlf::sim

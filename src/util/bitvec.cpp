@@ -1,5 +1,6 @@
 #include "src/util/bitvec.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "src/util/expect.hpp"
@@ -72,29 +73,40 @@ void BitVec::clear() {
 BitVec BitVec::slice(std::size_t offset, std::size_t count) const {
   XLF_EXPECT(offset + count <= bits_);
   BitVec out(count);
-  // Word-aligned fast path covers the common page/parity splits.
-  if (offset % 64 == 0) {
-    const std::size_t first = offset / 64;
-    for (std::size_t w = 0; w < out.words_.size(); ++w) {
-      out.words_[w] = words_[first + w];
+  // Output word w is the 64 bits at offset + 64w: the top of source
+  // word first + w and, past an unaligned offset, the bottom of the
+  // next one (absent at the very end of the vector).
+  const std::size_t first = offset / 64;
+  const unsigned shift = offset % 64;
+  for (std::size_t w = 0; w < out.words_.size(); ++w) {
+    std::uint64_t value = words_[first + w] >> shift;
+    if (shift != 0 && first + w + 1 < words_.size()) {
+      value |= words_[first + w + 1] << (64 - shift);
     }
-    out.mask_tail();
-    return out;
+    out.words_[w] = value;
   }
-  for (std::size_t i = 0; i < count; ++i) out.set(i, get(offset + i));
+  out.mask_tail();
   return out;
 }
 
 void BitVec::insert(std::size_t offset, const BitVec& src) {
   XLF_EXPECT(offset + src.bits_ <= bits_);
-  if (offset % 64 == 0 && src.bits_ % 64 == 0) {
-    const std::size_t first = offset / 64;
-    for (std::size_t w = 0; w < src.words_.size(); ++w) {
-      words_[first + w] = src.words_[w];
+  // Source word w (bits past src.size() are zero) lands at
+  // offset + 64w, straddling two destination words when unaligned;
+  // only its `len` live bits are overwritten.
+  for (std::size_t w = 0; w < src.words_.size(); ++w) {
+    const std::size_t len = std::min<std::size_t>(64, src.bits_ - 64 * w);
+    const std::uint64_t mask = len == 64 ? ~0ull : (1ull << len) - 1;
+    const std::uint64_t value = src.words_[w];
+    const std::size_t at = offset + 64 * w;
+    const std::size_t q = at / 64;
+    const unsigned shift = at % 64;
+    words_[q] = (words_[q] & ~(mask << shift)) | (value << shift);
+    if (shift != 0 && shift + len > 64) {
+      words_[q + 1] = (words_[q + 1] & ~(mask >> (64 - shift))) |
+                      (value >> (64 - shift));
     }
-    return;
   }
-  for (std::size_t i = 0; i < src.bits_; ++i) set(offset + i, src.get(i));
 }
 
 std::uint8_t BitVec::byte(std::size_t i) const {

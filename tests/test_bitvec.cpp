@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "src/util/rng.hpp"
 
@@ -167,6 +168,65 @@ TEST(BitVec, ClearResets) {
   v.clear();
   EXPECT_EQ(v.popcount(), 0u);
   EXPECT_EQ(v.size(), 128u);
+}
+
+// Per-bit reference for slice/insert, which copy a word at a time.
+BitVec reference_slice(const BitVec& v, std::size_t offset, std::size_t count) {
+  BitVec out(count);
+  for (std::size_t i = 0; i < count; ++i) out.set(i, v.get(offset + i));
+  return out;
+}
+
+BitVec random_bits(Rng& rng, std::size_t bits) {
+  BitVec v(bits);
+  for (std::size_t w = 0; w < v.words().size(); ++w) v.set_word(w, rng.next());
+  return v;
+}
+
+// Lengths with and without a tail word, from a few bits to several
+// words, including exact multiples of 64.
+std::vector<std::size_t> test_lengths(Rng& rng) {
+  std::vector<std::size_t> lengths{0, 1, 63, 64, 65, 128, 200, 256, 257};
+  for (int i = 0; i < 4; ++i) lengths.push_back(1 + rng.below(400));
+  return lengths;
+}
+
+TEST(BitVec, SliceMatchesPerBitReferenceAtEveryOffset) {
+  Rng rng(0x51ACE);
+  const BitVec v = random_bits(rng, 700);
+  for (std::size_t offset = 0; offset < 128; ++offset) {
+    for (std::size_t count : test_lengths(rng)) {
+      const BitVec got = v.slice(offset, count);
+      const BitVec want = reference_slice(v, offset, count);
+      // operator== compares whole words, so a set bit past size()
+      // would show here.
+      ASSERT_EQ(got, want) << "offset " << offset << " count " << count;
+    }
+  }
+  EXPECT_THROW(v.slice(650, 51), std::invalid_argument);
+}
+
+TEST(BitVec, InsertMatchesPerBitReferenceAndLeavesNeighboursAlone) {
+  Rng rng(0x1E5E);
+  for (std::size_t offset = 0; offset < 128; ++offset) {
+    for (std::size_t count : test_lengths(rng)) {
+      const BitVec before = random_bits(rng, 640);
+      const BitVec src = random_bits(rng, count);
+      BitVec got = before;
+      got.insert(offset, src);
+      BitVec want = before;
+      for (std::size_t i = 0; i < count; ++i) want.set(offset + i, src.get(i));
+      ASSERT_EQ(got, want) << "offset " << offset << " count " << count;
+    }
+  }
+  // The destination's own tail stays masked when the insert ends in it.
+  BitVec tail(100);
+  BitVec ones(37);
+  for (std::size_t w = 0; w < ones.words().size(); ++w) ones.set_word(w, ~0ull);
+  tail.insert(63, ones);
+  EXPECT_EQ(tail.popcount(), 37u);
+  EXPECT_EQ(tail.word(1) >> 36, 0u);
+  EXPECT_THROW(tail.insert(64, ones), std::invalid_argument);
 }
 
 }  // namespace

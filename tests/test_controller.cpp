@@ -161,5 +161,99 @@ TEST(Controller, CodewordMustFitDevicePage) {
                std::invalid_argument);
 }
 
+// The per-page metadata contract on both planes: the bit-true plane
+// (cells, codewords) and the metadata-only plane (no payload bits).
+class ControllerPlanes : public ::testing::TestWithParam<bool> {
+ protected:
+  static nand::DeviceConfig device_config() {
+    nand::DeviceConfig config = Fixture::small_device();
+    config.data_plane = GetParam();
+    return config;
+  }
+  BitVec payload(Fixture& fx, std::uint64_t seed) {
+    return GetParam() ? fx.random_data(seed) : BitVec(0);
+  }
+};
+
+TEST_P(ControllerPlanes, ReadingUnwrittenPageThrows) {
+  Fixture fx(ControllerConfig{}, device_config());
+  fx.controller.write_page({0, 0}, payload(fx, 10));
+  EXPECT_THROW(fx.controller.read_page({0, 1}), std::invalid_argument);
+  EXPECT_THROW(fx.controller.read_page({1, 0}), std::invalid_argument);
+}
+
+TEST_P(ControllerPlanes, ReadingAfterEraseThrows) {
+  Fixture fx(ControllerConfig{}, device_config());
+  fx.controller.write_page({1, 2}, payload(fx, 11));
+  fx.controller.write_page({1, 3}, payload(fx, 12));
+  fx.controller.write_page({0, 2}, payload(fx, 13));
+  EXPECT_TRUE(fx.controller.read_page({1, 2}).ok);
+  fx.controller.erase_block(1);
+  EXPECT_THROW(fx.controller.read_page({1, 2}), std::invalid_argument);
+  EXPECT_THROW(fx.controller.read_page({1, 3}), std::invalid_argument);
+  // The other block keeps its page.
+  EXPECT_TRUE(fx.controller.read_page({0, 2}).ok);
+}
+
+TEST_P(ControllerPlanes, OutOfRangeAddressThrows) {
+  Fixture fx(ControllerConfig{}, device_config());
+  // small_device(): 2 blocks x 4 pages.
+  for (const nand::PageAddress addr :
+       {nand::PageAddress{2, 0}, nand::PageAddress{0, 4},
+        nand::PageAddress{7, 9}}) {
+    EXPECT_THROW(fx.controller.read_page(addr), std::invalid_argument);
+    EXPECT_THROW(fx.controller.write_page(addr, payload(fx, 14)),
+                 std::invalid_argument);
+  }
+  EXPECT_THROW(fx.controller.erase_block(2), std::invalid_argument);
+}
+
+TEST_P(ControllerPlanes, RewriteAfterEraseDecodesAtTheNewCapability) {
+  // `a` writes a page at t = 5, erases it and rewrites it at t = 20;
+  // `b` runs the same sequence at t = 20 throughout. The erased page's
+  // metadata must be gone, so both reads see a t = 20 page.
+  Fixture a(ControllerConfig{}, device_config());
+  Fixture b(ControllerConfig{}, device_config());
+  const BitVec first = payload(a, 15);
+  const BitVec second = payload(a, 16);
+  a.controller.set_correction_capability(5);
+  b.controller.set_correction_capability(20);
+  a.controller.write_page({0, 1}, first);
+  b.controller.write_page({0, 1}, first);
+  a.controller.erase_block(0);
+  b.controller.erase_block(0);
+  a.controller.set_correction_capability(20);
+  EXPECT_EQ(a.controller.write_page({0, 1}, second).t_used, 20u);
+  b.controller.write_page({0, 1}, second);
+  a.controller.set_correction_capability(3);
+  b.controller.set_correction_capability(3);
+
+  const ReadResult ra = a.controller.read_page({0, 1});
+  const ReadResult rb = b.controller.read_page({0, 1});
+  EXPECT_TRUE(ra.ok);
+  EXPECT_EQ(ra.data, rb.data);
+  if (GetParam()) {
+    EXPECT_EQ(ra.data, second);
+  }
+  EXPECT_EQ(ra.corrected_bits, rb.corrected_bits);
+  EXPECT_EQ(ra.latency.value(), rb.latency.value());
+  EXPECT_EQ(ra.ecc_energy.value(), rb.ecc_energy.value());
+  if (!GetParam()) {
+    // The meta plane charges the worst-case decode at the page's t:
+    // the t = 20 one, not the t = 5 one.
+    const auto& model = a.controller.ecc().latency_model();
+    EXPECT_EQ(ra.latency.value(),
+              (a.device.timing().read_time() + model.decode_latency(20) +
+               ra.io_latency)
+                  .value());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BothPlanes, ControllerPlanes, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "BitTrue"
+                                                         : "Meta");
+                         });
+
 }  // namespace
 }  // namespace xlf::controller

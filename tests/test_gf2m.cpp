@@ -170,5 +170,56 @@ TEST(Gf2m, KnownGf16MultiplicationTable) {
   EXPECT_EQ(field.mul(9, 9), 13u);    // (alpha^3+1)^2 = alpha^6+1
 }
 
+// Carry-less shift-and-add multiplication reduced by the field's
+// primitive polynomial: the table-free reference for mul/div/inv.
+Element reference_mul(const Gf2m& field, Element a, Element b) {
+  Element product = 0;
+  for (unsigned bit = 0; bit < field.m(); ++bit) {
+    if ((b >> bit) & 1u) product ^= a;
+    a <<= 1;
+    if (a & field.size()) a ^= field.primitive_poly();
+  }
+  return product;
+}
+
+void expect_matches_reference(const Gf2m& field, Element a, Element b) {
+  ASSERT_EQ(field.mul(a, b), reference_mul(field, a, b))
+      << "m " << field.m() << " a " << a << " b " << b;
+  if (b != 0) {
+    ASSERT_EQ(reference_mul(field, field.div(a, b), b), a)
+        << "m " << field.m() << " a " << a << " b " << b;
+    ASSERT_EQ(reference_mul(field, field.inv(b), b), 1u)
+        << "m " << field.m() << " b " << b;
+  }
+}
+
+TEST(Gf2m, TablesMatchShiftAndAddExhaustivelyUpToDegree10) {
+  for (unsigned m = 3; m <= 10; ++m) {
+    const Gf2m field(m);
+    for (Element a = 0; a < field.size(); ++a) {
+      for (Element b = 0; b < field.size(); ++b) {
+        expect_matches_reference(field, a, b);
+      }
+    }
+  }
+}
+
+TEST(Gf2m, TablesMatchShiftAndAddOnRandomPairsAtDegree16) {
+  const Gf2m field(16);
+  Rng rng(0x6F16);
+  for (int i = 0; i < 200000; ++i) {
+    const auto a = static_cast<Element>(rng.below(field.size()));
+    const auto b = static_cast<Element>(rng.below(field.size()));
+    expect_matches_reference(field, a, b);
+  }
+  // The extremes of the 16-bit tables: the largest element and log
+  // values next to the group order.
+  for (Element a : {1u, 2u, 0xFFFFu, field.alpha_pow(-1), field.alpha_pow(-2)}) {
+    for (Element b : {1u, 0xFFFFu, field.alpha_pow(-1)}) {
+      expect_matches_reference(field, a, b);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace xlf::gf

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/sim/event_queue.hpp"
 #include "src/sim/workload.hpp"
+#include "src/util/rng.hpp"
 
 namespace xlf::sim {
 namespace {
@@ -103,6 +106,86 @@ TEST(EventQueue, PastSchedulingRejected) {
                std::invalid_argument);
   EXPECT_THROW(queue.schedule_in(Seconds::micros(-1.0), [] {}),
                std::invalid_argument);
+}
+
+// Reference queue for the randomized test: pending events in a plain
+// vector, the next one picked by (when, sequence) — the order a stable
+// sort by time over scheduling order gives.
+class ReferenceQueue {
+ public:
+  Seconds now() const { return now_; }
+  void schedule_at(Seconds when, std::function<void()> fn) {
+    pending_.push_back(Pending{when.value(), next_sequence_++, std::move(fn)});
+  }
+  void clear() { pending_.clear(); }
+  void run() {
+    while (!pending_.empty()) {
+      const auto next = std::min_element(
+          pending_.begin(), pending_.end(),
+          [](const Pending& a, const Pending& b) {
+            return a.when != b.when ? a.when < b.when : a.sequence < b.sequence;
+          });
+      Pending event = std::move(*next);
+      pending_.erase(next);
+      now_ = Seconds{event.when};
+      event.fn();
+    }
+  }
+
+ private:
+  struct Pending {
+    double when;
+    std::uint64_t sequence;
+    std::function<void()> fn;
+  };
+  Seconds now_{0.0};
+  std::uint64_t next_sequence_ = 0;
+  std::vector<Pending> pending_;
+};
+
+// Replays a seeded script on `queue` and returns the ids in firing
+// order. Each event's children (0-3 of them, at whole-second delays so
+// timestamps collide often) depend only on the seed and the event id,
+// and the 300th event to fire clears the queue and seeds a fresh batch,
+// so any correct queue replays the script identically.
+template <class Queue>
+std::vector<int> replay_script(std::uint64_t seed, Queue& queue) {
+  std::vector<int> fired;
+  int next_id = 0;
+  std::function<void(double)> schedule = [&](double delay) {
+    const int id = next_id++;
+    queue.schedule_at(queue.now() + Seconds{delay}, [&, id] {
+      fired.push_back(id);
+      Rng rng(seed * 1000003 + static_cast<std::uint64_t>(id));
+      if (fired.size() == 300) {
+        queue.clear();
+        for (int i = 0; i < 6; ++i) {
+          schedule(static_cast<double>(rng.below(3)));
+        }
+        return;
+      }
+      const auto children = rng.below(4);
+      for (std::uint64_t c = 0; c < children && next_id < 2000; ++c) {
+        schedule(static_cast<double>(rng.below(4)));
+      }
+    });
+  };
+  Rng roots(seed);
+  for (int i = 0; i < 64; ++i) schedule(static_cast<double>(roots.below(8)));
+  queue.run();
+  return fired;
+}
+
+TEST(EventQueue, RandomizedOrderMatchesStableSortByTimeAndSequence) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    EventQueue queue;
+    ReferenceQueue reference;
+    const std::vector<int> got = replay_script(seed, queue);
+    const std::vector<int> want = replay_script(seed, reference);
+    EXPECT_GT(want.size(), 300u) << "seed " << seed;
+    EXPECT_EQ(got, want) << "seed " << seed;
+    EXPECT_EQ(queue.now().value(), reference.now().value()) << "seed " << seed;
+  }
 }
 
 nand::Geometry geometry() {

@@ -90,6 +90,21 @@ if(NOT err MATCHES "exclusive")
   message(FATAL_ERROR "--spec conflict message unclear, got: ${err}")
 endif()
 
+# --- --ftl-perf needs JSON: the CSV report has no throughput column --
+foreach(format_args "" "--format;csv")
+  execute_process(COMMAND ${XLF_EXPLORE} --ftl-sweep --ftl-perf ${format_args}
+                  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_VARIABLE out)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "--ftl-perf with CSV output must exit 2 (got ${rc})")
+  endif()
+  if(NOT err MATCHES "--format json")
+    message(FATAL_ERROR "--ftl-perf/CSV message must name --format json, got: ${err}")
+  endif()
+  if(NOT out STREQUAL "")
+    message(FATAL_ERROR "--ftl-perf with CSV output must print no report")
+  endif()
+endforeach()
+
 # --- a shipped example spec runs and is thread-count deterministic ---
 execute_process(COMMAND ${XLF_EXPLORE} --spec ${SPEC} --threads 1
                 RESULT_VARIABLE rc1 OUTPUT_VARIABLE run1 ERROR_VARIABLE err1)

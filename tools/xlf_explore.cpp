@@ -420,6 +420,11 @@ bool parse_args(int argc, char** argv, Options& opt) {
                  "shard)\n";
     return false;
   }
+  if (exp.ftl.measure_throughput && opt.format != "json") {
+    std::cerr << "xlf_explore: --ftl-perf throughput is reported in the "
+                 "JSON output only; add --format json\n";
+    return false;
+  }
   if (!opt.spec_path.empty() && opt.shaped_by_flags) {
     std::cerr << "xlf_explore: --spec is exclusive with the sweep-shaping "
                  "flags; put the experiment in the spec file "
