@@ -54,7 +54,7 @@ class Gf2m {
   void build_tables();
 
   // Elements and logs are below 2^m <= 2^16, so both tables hold
-  // 16-bit entries (384 KB for GF(2^16) instead of 768 KB).
+  // 16-bit entries (384 KB for GF(2^16)).
   unsigned m_;
   std::uint32_t poly_;
   std::vector<std::uint16_t> exp_;  // exp_[i] = alpha^i, doubled to skip mod

@@ -51,16 +51,16 @@ IsppTrace IsppEngine::program(std::span<FloatingGateCell> cells,
 
   // Active sets, sized once and shrunk by count: `active` holds every
   // cell still being pulsed, in ascending index order — the order the
-  // pulses draw from `rng` — and `index` past it holds one ascending
+  // pulses draw from `rng` — and `lists` past it holds one ascending
   // list per level L1..L3 starting at level_begin[level], whose length
-  // is that level's pending count. Verify scans walk only their level's
-  // pending cells instead of the whole population.
+  // is that level's pending count, so a verify scan touches only its
+  // level's pending cells.
   XLF_EXPECT(cells.size() <= UINT32_MAX);
   std::size_t active_count =
       pending_per_level[1] + pending_per_level[2] + pending_per_level[3];
-  std::vector<std::uint32_t> index(2 * active_count);
-  const std::span<std::uint32_t> active(index.data(), active_count);
-  std::uint32_t* const by_level = index.data() + active_count;
+  std::vector<std::uint32_t> lists(2 * active_count);
+  const std::span<std::uint32_t> active(lists.data(), active_count);
+  std::uint32_t* const by_level = lists.data() + active_count;
   const std::array<std::size_t, 4> level_begin{
       0, 0, pending_per_level[1], pending_per_level[1] + pending_per_level[2]};
   {

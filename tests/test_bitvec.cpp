@@ -193,17 +193,21 @@ std::vector<std::size_t> test_lengths(Rng& rng) {
 
 TEST(BitVec, SliceMatchesPerBitReferenceAtEveryOffset) {
   Rng rng(0x51ACE);
-  const BitVec v = random_bits(rng, 700);
   for (std::size_t offset = 0; offset < 128; ++offset) {
     for (std::size_t count : test_lengths(rng)) {
-      const BitVec got = v.slice(offset, count);
-      const BitVec want = reference_slice(v, offset, count);
-      // operator== compares whole words, so a set bit past size()
-      // would show here.
-      ASSERT_EQ(got, want) << "offset " << offset << " count " << count;
+      // Slices ending exactly at the source's end and well inside it.
+      for (std::size_t after : {std::size_t{0}, 1 + rng.below(150)}) {
+        const BitVec v = random_bits(rng, offset + count + after);
+        const BitVec got = v.slice(offset, count);
+        const BitVec want = reference_slice(v, offset, count);
+        // operator== compares whole words, so a set bit past size()
+        // would show here.
+        ASSERT_EQ(got, want) << "offset " << offset << " count " << count
+                             << " after " << after;
+      }
     }
   }
-  EXPECT_THROW(v.slice(650, 51), std::invalid_argument);
+  EXPECT_THROW(random_bits(rng, 700).slice(650, 51), std::invalid_argument);
 }
 
 TEST(BitVec, InsertMatchesPerBitReferenceAndLeavesNeighboursAlone) {
