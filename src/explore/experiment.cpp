@@ -1,13 +1,15 @@
 #include "src/explore/experiment.hpp"
 
-#include <cmath>
-#include <cstdio>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "src/explore/monte_carlo.hpp"
+#include "src/explore/options.hpp"
 #include "src/explore/report.hpp"
 #include "src/explore/sweep.hpp"
 #include "src/policy/registry.hpp"
@@ -17,126 +19,11 @@
 namespace xlf::explore {
 namespace {
 
-[[noreturn]] void spec_error(const std::string& what) {
-  throw std::invalid_argument("experiment spec: " + what);
-}
-
-// Strict-object helper: every known key is consumed through find();
-// finish() rejects the leftovers so a typo ("qeue_depths") fails
-// loudly instead of silently running the default.
-class StrictObject {
- public:
-  StrictObject(const JsonValue& value, std::string path)
-      : value_(value), path_(std::move(path)) {
-    if (!value_.is_object()) {
-      spec_error("'" + path_ + "' must be an object");
-    }
-  }
-
-  // The member under `key`, or nullptr when absent.
-  const JsonValue* find(const std::string& key) {
-    consumed_.push_back(key);
-    if (!value_.has(key)) return nullptr;
-    return &value_.at(key);
-  }
-
-  void finish() const {
-    for (const std::string& key : value_.keys()) {
-      bool known = false;
-      for (const std::string& c : consumed_) {
-        if (c == key) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) {
-        std::string message = "unknown key '" + key + "' in " + path_ +
-                              "; known keys:";
-        for (const std::string& c : consumed_) message += " " + c;
-        spec_error(message);
-      }
-    }
-  }
-
- private:
-  const JsonValue& value_;
-  std::string path_;
-  std::vector<std::string> consumed_;
-};
-
-double as_number(const JsonValue& v, const std::string& key) {
-  if (v.type() != JsonValue::Type::kNumber) {
-    spec_error("'" + key + "' must be a number");
-  }
-  return v.as_number();
-}
-
-// JSON numbers are doubles: only integers below 2^53 are exact, and
-// a cast from a double at or above 2^64 is undefined behaviour — so
-// both integer readers share one checked range.
-double checked_integer(const JsonValue& v, const std::string& key) {
-  constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
-  const double n = as_number(v, key);
-  if (n < 0.0 || n != std::floor(n) || n > kMaxExactInteger) {
-    spec_error("'" + key +
-               "' must be a non-negative integer below 2^53 (JSON numbers "
-               "are doubles)");
-  }
-  return n;
-}
-
-std::size_t as_index(const JsonValue& v, const std::string& key) {
-  return static_cast<std::size_t>(checked_integer(v, key));
-}
-
-std::uint64_t as_u64(const JsonValue& v, const std::string& key) {
-  return static_cast<std::uint64_t>(checked_integer(v, key));
-}
-
-bool as_bool(const JsonValue& v, const std::string& key) {
-  if (v.type() != JsonValue::Type::kBool) {
-    spec_error("'" + key + "' must be true or false");
-  }
-  return v.as_bool();
-}
-
-const std::string& as_string(const JsonValue& v, const std::string& key) {
-  if (v.type() != JsonValue::Type::kString) {
-    spec_error("'" + key + "' must be a string");
-  }
-  return v.as_string();
-}
-
-std::vector<std::string> as_string_list(const JsonValue& v,
-                                        const std::string& key) {
-  if (!v.is_array() || v.items().empty()) {
-    spec_error("'" + key + "' must be a non-empty array of strings");
-  }
-  std::vector<std::string> out;
-  for (const JsonValue& item : v.items()) out.push_back(as_string(item, key));
-  return out;
-}
-
-// Validates each name against the interface's registry; an unknown
-// name throws the registry's message (which lists the alternatives).
-template <class Interface>
-void check_policies(const std::vector<std::string>& names) {
-  for (const std::string& name : names) {
-    (void)policy::PolicyRegistry<Interface>::instance().make(name);
-  }
-}
-
-void check_point_name(const std::string& name) {
-  if (name != "baseline" && name != "min-uber" && name != "max-read") {
-    spec_error("unknown operating point '" + name +
-               "'; available: baseline min-uber max-read");
-  }
-}
-
-core::OperatingPoint make_point(const std::string& name) {
+std::optional<core::OperatingPoint> make_point(const std::string& name) {
+  if (name == "baseline") return core::OperatingPoint::baseline();
   if (name == "min-uber") return core::OperatingPoint::min_uber();
   if (name == "max-read") return core::OperatingPoint::max_read();
-  return core::OperatingPoint::baseline();
+  return std::nullopt;
 }
 
 std::unique_ptr<sim::Workload> make_workload(const std::string& name) {
@@ -159,215 +46,27 @@ std::unique_ptr<sim::Workload> make_workload(const std::string& name) {
   return nullptr;
 }
 
-void parse_ages(StrictObject& root, ExperimentSpec& spec) {
-  const JsonValue* ages = root.find("ages");
-  if (ages == nullptr) return;
-  StrictObject obj(*ages, "ages");
-  if (const JsonValue* v = obj.find("lo")) spec.age_lo = as_number(*v, "lo");
-  if (const JsonValue* v = obj.find("hi")) spec.age_hi = as_number(*v, "hi");
-  if (const JsonValue* v = obj.find("points")) {
-    spec.age_points = as_index(*v, "points");
-  }
-  obj.finish();
-  if (spec.age_points < 2 || spec.age_lo <= 0.0 ||
-      spec.age_hi <= spec.age_lo) {
-    std::ostringstream msg;
-    msg << "invalid ages grid lo=" << spec.age_lo << " hi=" << spec.age_hi
-        << " points=" << spec.age_points
-        << " (need lo > 0, hi > lo, points >= 2)";
-    spec_error(msg.str());
-  }
+[[noreturn]] void invalid(const char* flag, const std::string& what) {
+  const Option* o = find_flag(flag);
+  std::string names = flag;
+  if (o->key != nullptr) names += " / spec key '" + std::string(o->key) + "'";
+  throw std::invalid_argument(names + ": " + what);
 }
 
-void parse_monte_carlo(StrictObject& root, ExperimentSpec& spec) {
-  const JsonValue* mc = root.find("monte_carlo");
-  if (mc == nullptr) return;
-  StrictObject obj(*mc, "monte_carlo");
-  if (const JsonValue* v = obj.find("replicas")) {
-    spec.mc_replicas = as_index(*v, "replicas");
-  }
-  if (const JsonValue* v = obj.find("requests")) {
-    spec.mc_requests = as_index(*v, "requests");
-  }
-  if (const JsonValue* v = obj.find("age")) {
-    spec.mc_age = as_number(*v, "age");
-  }
-  if (const JsonValue* v = obj.find("workloads")) {
-    spec.mc_workloads = as_string_list(*v, "workloads");
-  }
-  obj.finish();
-  for (const std::string& name : spec.mc_workloads) {
-    if (make_workload(name) == nullptr) {
-      spec_error("unknown workload '" + name +
-                 "'; available: sequential-read random-read write-burst "
-                 "mixed streaming");
+// Each name must resolve in the interface's registry, whose error
+// lists the registered alternatives.
+template <class Interface>
+void check_policies(const char* flag, const std::vector<std::string>& names) {
+  for (const std::string& name : names) {
+    try {
+      (void)policy::PolicyRegistry<Interface>::instance().make(name);
+    } catch (const std::invalid_argument& e) {
+      invalid(flag, e.what());
     }
   }
-}
-
-void parse_geometry(StrictObject& root, ExperimentSpec& spec) {
-  const JsonValue* geometry = root.find("geometry");
-  if (geometry == nullptr) return;
-  StrictObject obj(*geometry, "geometry");
-  if (const JsonValue* v = obj.find("blocks")) {
-    spec.ftl.base.die.device.array.geometry.blocks =
-        static_cast<std::uint32_t>(as_index(*v, "blocks"));
-  }
-  if (const JsonValue* v = obj.find("pages_per_block")) {
-    spec.ftl.base.die.device.array.geometry.pages_per_block =
-        static_cast<std::uint32_t>(as_index(*v, "pages_per_block"));
-  }
-  obj.finish();
-}
-
-void parse_ftl(StrictObject& root, ExperimentSpec& spec) {
-  const JsonValue* ftl = root.find("ftl");
-  if (ftl == nullptr) return;
-  StrictObject obj(*ftl, "ftl");
-  ftl::FtlConfig& config = spec.ftl.base.ftl;
-  if (const JsonValue* v = obj.find("pe_cycles_per_erase")) {
-    config.pe_cycles_per_erase = as_number(*v, "pe_cycles_per_erase");
-  }
-  if (const JsonValue* v = obj.find("logical_fraction")) {
-    config.logical_fraction = as_number(*v, "logical_fraction");
-  }
-  if (const JsonValue* v = obj.find("gc_free_blocks")) {
-    config.gc_free_blocks =
-        static_cast<std::uint32_t>(as_index(*v, "gc_free_blocks"));
-  }
-  if (const JsonValue* v = obj.find("static_wl_spread")) {
-    config.static_wl_spread =
-        static_cast<std::uint32_t>(as_index(*v, "static_wl_spread"));
-  }
-  if (const JsonValue* v = obj.find("scrub_retention_hours")) {
-    config.scrub_retention_hours = as_number(*v, "scrub_retention_hours");
-  }
-  obj.finish();
-}
-
-void parse_workload(StrictObject& root, ExperimentSpec& spec) {
-  const JsonValue* workload = root.find("workload");
-  if (workload == nullptr) return;
-  StrictObject obj(*workload, "workload");
-  if (const JsonValue* v = obj.find("requests")) {
-    spec.ftl.requests = as_index(*v, "requests");
-  }
-  if (const JsonValue* v = obj.find("read_fraction")) {
-    spec.ftl.read_fraction = as_number(*v, "read_fraction");
-  }
-  if (const JsonValue* v = obj.find("hot_fraction")) {
-    spec.ftl.hot_fraction = as_number(*v, "hot_fraction");
-  }
-  if (const JsonValue* v = obj.find("hot_write_fraction")) {
-    spec.ftl.hot_write_fraction = as_number(*v, "hot_write_fraction");
-  }
-  if (const JsonValue* v = obj.find("trim_fraction")) {
-    spec.ftl.trim_fraction = as_number(*v, "trim_fraction");
-    if (spec.ftl.trim_fraction < 0.0 || spec.ftl.trim_fraction >= 1.0) {
-      spec_error("'trim_fraction' must lie in [0, 1)");
-    }
-  }
-  if (const JsonValue* v = obj.find("queue_weights")) {
-    if (!v->is_array() || v->items().empty()) {
-      spec_error("'queue_weights' must be a non-empty array of numbers > 0");
-    }
-    spec.ftl.queue_weights.clear();
-    for (const JsonValue& item : v->items()) {
-      const double weight = as_number(item, "queue_weights");
-      if (weight <= 0.0) {
-        spec_error("'queue_weights' entries must be > 0");
-      }
-      spec.ftl.queue_weights.push_back(weight);
-    }
-  }
-  if (const JsonValue* v = obj.find("prepopulate")) {
-    spec.ftl.prepopulate = as_bool(*v, "prepopulate");
-  }
-  obj.finish();
-}
-
-void parse_sweep(StrictObject& root, ExperimentSpec& spec) {
-  const JsonValue* sweep = root.find("sweep");
-  if (sweep == nullptr) return;
-  StrictObject obj(*sweep, "sweep");
-  if (const JsonValue* v = obj.find("topologies")) {
-    spec.ftl.topologies.clear();
-    for (const std::string& part : as_string_list(*v, "topologies")) {
-      const std::optional<controller::DispatchConfig> topology =
-          parse_topology(part);
-      if (!topology.has_value()) {
-        spec_error("topology '" + part +
-                   "' must be CxD (channels x dies per channel), e.g. \"2x1\"");
-      }
-      spec.ftl.topologies.push_back(*topology);
-    }
-  }
-  if (const JsonValue* v = obj.find("queue_depths")) {
-    if (!v->is_array() || v->items().empty()) {
-      spec_error("'queue_depths' must be a non-empty array of integers >= 1");
-    }
-    spec.ftl.queue_depths.clear();
-    for (const JsonValue& item : v->items()) {
-      const std::size_t qd = as_index(item, "queue_depths");
-      if (qd < 1) spec_error("'queue_depths' entries must be >= 1");
-      spec.ftl.queue_depths.push_back(qd);
-    }
-  }
-  if (const JsonValue* v = obj.find("queues")) {
-    if (!v->is_array() || v->items().empty()) {
-      spec_error("'queues' must be a non-empty array of integers >= 1");
-    }
-    spec.ftl.queue_counts.clear();
-    for (const JsonValue& item : v->items()) {
-      const std::size_t queues = as_index(item, "queues");
-      if (queues < 1) spec_error("'queues' entries must be >= 1");
-      spec.ftl.queue_counts.push_back(queues);
-    }
-  }
-  if (const JsonValue* v = obj.find("arbitrations")) {
-    spec.ftl.arbitration_policies = as_string_list(*v, "arbitrations");
-  }
-  if (const JsonValue* v = obj.find("gc_policies")) {
-    spec.ftl.gc_policies = as_string_list(*v, "gc_policies");
-  }
-  if (const JsonValue* v = obj.find("wear_policies")) {
-    spec.ftl.wear_policies = as_string_list(*v, "wear_policies");
-  }
-  if (const JsonValue* v = obj.find("tuning_policies")) {
-    spec.ftl.tuning_policies = as_string_list(*v, "tuning_policies");
-  }
-  if (const JsonValue* v = obj.find("refresh_policies")) {
-    spec.ftl.refresh_policies = as_string_list(*v, "refresh_policies");
-  }
-  if (const JsonValue* v = obj.find("fail_blocks")) {
-    if (!v->is_array() || v->items().empty()) {
-      spec_error("'fail_blocks' must be a non-empty array of integers >= 0");
-    }
-    spec.ftl.fail_blocks.clear();
-    for (const JsonValue& item : v->items()) {
-      spec.ftl.fail_blocks.push_back(
-          static_cast<std::uint32_t>(as_index(item, "fail_blocks")));
-    }
-  }
-  obj.finish();
-  check_policies<policy::GcPolicy>(spec.ftl.gc_policies);
-  check_policies<policy::WearPolicy>(spec.ftl.wear_policies);
-  check_policies<policy::TuningPolicy>(spec.ftl.tuning_policies);
-  check_policies<policy::RefreshPolicy>(spec.ftl.refresh_policies);
-  check_policies<policy::ArbitrationPolicy>(spec.ftl.arbitration_policies);
 }
 
 }  // namespace
-
-std::optional<controller::DispatchConfig> parse_topology(
-    const std::string& text) {
-  unsigned channels = 0, dies = 0;
-  if (std::sscanf(text.c_str(), "%ux%u", &channels, &dies) != 2 ||
-      channels == 0 || dies == 0) {
-    return std::nullopt;
-  }
-  return controller::DispatchConfig{channels, dies};
-}
 
 ExperimentSpec ExperimentSpec::defaults() {
   ExperimentSpec spec;
@@ -379,54 +78,54 @@ ExperimentSpec ExperimentSpec::defaults() {
   return spec;
 }
 
-ExperimentSpec parse_experiment(const JsonValue& root) {
-  ExperimentSpec spec = ExperimentSpec::defaults();
-  StrictObject obj(root, "the spec");
-
-  const JsonValue* mode = obj.find("mode");
-  if (mode == nullptr) {
-    spec_error("missing required key 'mode' (\"space\" or \"ftl-sweep\")");
+void validate(const ExperimentSpec& spec, const std::string& format) {
+  if (format != "csv" && format != "json") {
+    throw std::invalid_argument("--format expects csv or json, got '" +
+                                format + "'");
   }
-  const std::string& mode_name = as_string(*mode, "mode");
-  if (mode_name == "space") {
-    spec.mode = ExperimentSpec::Mode::kSpace;
-  } else if (mode_name == "ftl-sweep") {
-    spec.mode = ExperimentSpec::Mode::kFtlSweep;
-  } else {
-    spec_error("unknown mode '" + mode_name +
-               "'; available: space ftl-sweep");
+  if (!(spec.age_lo > 0.0 && spec.age_hi > spec.age_lo &&
+        spec.age_points >= 2)) {
+    std::ostringstream msg;
+    msg << "invalid ages grid lo=" << spec.age_lo << " hi=" << spec.age_hi
+        << " points=" << spec.age_points
+        << " (need lo > 0, hi > lo, points >= 2)";
+    invalid("--ages", msg.str());
   }
-
-  if (const JsonValue* v = obj.find("seed")) spec.seed = as_u64(*v, "seed");
-  if (const JsonValue* v = obj.find("uber_target")) {
-    spec.uber_target = as_number(*v, "uber_target");
-    if (spec.uber_target <= 0.0 || spec.uber_target >= 1.0) {
-      spec_error("'uber_target' must lie in (0, 1)");
+  if (!make_point(spec.point).has_value()) {
+    invalid("--point", "unknown operating point '" + spec.point +
+                           "'; available: baseline min-uber max-read");
+  }
+  for (const std::string& name : spec.mc_workloads) {
+    if (make_workload(name) == nullptr) {
+      invalid("--workloads", "unknown workload '" + name +
+                                 "'; available: sequential-read random-read "
+                                 "write-burst mixed streaming");
     }
   }
-  if (const JsonValue* v = obj.find("point")) {
-    spec.point = as_string(*v, "point");
-    check_point_name(spec.point);
+  check_policies<policy::GcPolicy>("--ftl-gc", spec.ftl.gc_policies);
+  check_policies<policy::WearPolicy>("--ftl-wear", spec.ftl.wear_policies);
+  check_policies<policy::TuningPolicy>("--ftl-tuning",
+                                       spec.ftl.tuning_policies);
+  check_policies<policy::RefreshPolicy>("--ftl-refresh",
+                                        spec.ftl.refresh_policies);
+  check_policies<policy::ArbitrationPolicy>("--ftl-arbitration",
+                                            spec.ftl.arbitration_policies);
+  // nand::Geometry counts a die's pages in 32 bits.
+  const nand::Geometry& geometry = spec.ftl.base.die.device.array.geometry;
+  if (static_cast<std::uint64_t>(geometry.blocks) * geometry.pages_per_block >
+      std::numeric_limits<std::uint32_t>::max()) {
+    invalid("--ftl-pages", "blocks x pages_per_block must fit in 32 bits");
   }
-
-  // Space-mode sections.
-  parse_ages(obj, spec);
-  if (const JsonValue* v = obj.find("pareto_only")) {
-    spec.pareto_only = as_bool(*v, "pareto_only");
+  if (spec.ftl.shard_dies && !spec.ftl.data_plane) {
+    invalid("--ftl-shard-dies",
+            "needs the bit-true data plane (metadata-only devices have no "
+            "cell work to shard)");
   }
-  parse_monte_carlo(obj, spec);
-
-  // FTL-sweep sections.
-  parse_geometry(obj, spec);
-  if (const JsonValue* v = obj.find("initial_pe_cycles")) {
-    spec.ftl.base.initial_pe_cycles = as_number(*v, "initial_pe_cycles");
+  if (spec.ftl.measure_throughput && format != "json") {
+    invalid("--ftl-perf",
+            "throughput is reported in the JSON output only; add --format "
+            "json");
   }
-  parse_ftl(obj, spec);
-  parse_workload(obj, spec);
-  parse_sweep(obj, spec);
-
-  obj.finish();
-  return spec;
 }
 
 ExperimentSpec parse_experiment_text(const std::string& text) {
@@ -445,10 +144,7 @@ ExperimentSpec load_experiment(const std::string& path) {
 
 std::string run_experiment(const ExperimentSpec& spec, ThreadPool& pool,
                            const std::string& format) {
-  if (format != "csv" && format != "json") {
-    throw std::invalid_argument("experiment format must be csv or json, got " +
-                                format);
-  }
+  validate(spec, format);
 
   if (spec.mode == ExperimentSpec::Mode::kFtlSweep) {
     // The experiment-level knobs (seed, UBER target, operating point)
@@ -458,7 +154,7 @@ std::string run_experiment(const ExperimentSpec& spec, ThreadPool& pool,
     ftl.seed = spec.seed;
     ftl.base.die.cross_layer.uber_target = spec.uber_target;
     ftl.base.die.controller.reliability.uber_target = spec.uber_target;
-    ftl.base.point = make_point(spec.point);
+    ftl.base.point = *make_point(spec.point);
     const FtlSweepResult result = ftl_sweep(ftl, pool);
     if (format == "csv") return ftl_csv(result);
     std::string report = "{\"ftl\":";
@@ -497,12 +193,9 @@ std::string run_experiment(const ExperimentSpec& spec, ThreadPool& pool,
     for (const std::string& name : spec.mc_workloads) {
       const std::uint64_t workload_seed = workload_seeder.next();
       const std::unique_ptr<sim::Workload> workload = make_workload(name);
-      if (workload == nullptr) {
-        throw std::invalid_argument("unknown workload " + name);
-      }
       MonteCarloSpec mc;
       mc.subsystem = subsystem;
-      mc.point = make_point(spec.point);
+      mc.point = *make_point(spec.point);
       mc.pe_cycles = mc_age;
       mc.workload = workload.get();
       mc.requests_per_replica = spec.mc_requests;

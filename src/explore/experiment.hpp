@@ -1,56 +1,20 @@
 // Declarative experiment specs: one JSON document describes a whole
-// exploration run — which engine (configuration-space sweep or FTL
-// policy sweep), the device/FTL configuration under test, the sweep
-// axes (including arbitrary policy-name combinations from the
-// PolicyRegistry), and the optional Monte-Carlo validation — and
-// tools/xlf_explore --spec executes it. The spec is the write-once
-// artifact of an experiment: the same file reproduces the same bytes
-// on any machine at any thread count (the engines' determinism
-// contract), which is what makes sweeps citable results rather than
-// run-dependent samples.
+// exploration run (engine, device/FTL configuration, sweep axes
+// including policy-name combinations, Monte-Carlo validation) and
+// reproduces the same bytes on any machine at any thread count. A spec
+// is the required "mode" ("space" or "ftl-sweep") plus any keys of the
+// option table (src/explore/options.hpp), some grouped in sections:
 //
-// Parsing is strict: unknown keys, unknown policy names, malformed
-// topologies and out-of-range values all throw std::invalid_argument
-// with the offending key/value (and, for policies, the registered
-// alternatives) in the message.
+//   {"mode": "ftl-sweep", "seed": 123,
+//    "geometry": {"blocks": 16}, "workload": {"requests": 64},
+//    "sweep": {"topologies": ["1x1", "2x1"], "gc_policies": ["greedy"]}}
 //
-// Spec shape (all keys optional unless noted; defaults mirror the
-// CLI's):
-//
-//   {
-//     "mode": "ftl-sweep" | "space",        // required
-//     "seed": 123,
-//     "uber_target": 1e-11,
-//     "point": "baseline" | "min-uber" | "max-read",
-//     // --- mode: "space" ---------------------------------------
-//     "ages": {"lo": 1, "hi": 1e6, "points": 13},
-//     "pareto_only": false,
-//     "monte_carlo": {                       // omit to skip MC
-//       "replicas": 4, "requests": 32, "age": 1e6,
-//       "workloads": ["sequential-read", "mixed"]
-//     },
-//     // --- mode: "ftl-sweep" -----------------------------------
-//     "geometry": {"blocks": 8, "pages_per_block": 4},
-//     "initial_pe_cycles": 1e4,
-//     "ftl": {"pe_cycles_per_erase": 3e4, "logical_fraction": 0.6,
-//             "gc_free_blocks": 1, "static_wl_spread": 8,
-//             "scrub_retention_hours": 1000},
-//     "workload": {"requests": 200, "read_fraction": 0.3,
-//                  "hot_fraction": 0.25, "hot_write_fraction": 0.85,
-//                  "trim_fraction": 0.0, "queue_weights": [8, 1],
-//                  "prepopulate": true},
-//     "sweep": {"topologies": ["1x1", "2x1"], "queue_depths": [1, 4],
-//               "queues": [1, 4],
-//               "arbitrations": ["round-robin", "weighted"],
-//               "gc_policies": ["greedy", "cost-benefit"],
-//               "wear_policies": ["dynamic"],
-//               "tuning_policies": ["model_based"],
-//               "refresh_policies": ["none"],
-//               "fail_blocks": [0, 2]}
-//   }
+// `xlf_explore --help` lists every key with its flag, accepted range
+// and default; examples/specs/ holds complete specs. Parsing is strict:
+// unknown keys, malformed or out-of-range values and unknown names
+// throw std::invalid_argument naming the key.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,10 +27,9 @@ namespace xlf::explore {
 struct ExperimentSpec {
   enum class Mode { kSpace, kFtlSweep };
 
-  // The starting point both the JSON parser and the CLI's flag path
-  // refine: simulation-affordable FTL geometry (8 blocks x 4 pages
-  // per die), mid-life pre-conditioning and compressed aging — the
-  // same values the CLI flags default to.
+  // The starting point both the JSON parser and the flag path refine:
+  // simulation-affordable FTL geometry, mid-life pre-conditioning and
+  // compressed aging on top of the member defaults below.
   static ExperimentSpec defaults();
 
   Mode mode = Mode::kSpace;
@@ -90,21 +53,22 @@ struct ExperimentSpec {
   FtlSweepSpec ftl;
 };
 
-// Parses one "CxD" topology token (channels x dies per channel, both
-// >= 1), e.g. "2x1"; nullopt on malformed input. Shared by the spec
-// parser and the CLI flag path so the accepted format cannot drift.
-std::optional<controller::DispatchConfig> parse_topology(
-    const std::string& text);
+// The cross-field and name checks both front ends run before anything
+// executes (the option table range-checks single values): ages grid,
+// point, workload and policy names, the die's page count, shard-dies
+// vs. data plane, and `format` ("csv" or "json", which --ftl-perf
+// needs). Throws std::invalid_argument naming the flag and spec key.
+void validate(const ExperimentSpec& spec, const std::string& format = "csv");
 
-// Builds a spec from parsed JSON / raw text / a file on disk.
-// Validation is strict (see file comment).
+// Builds a spec from parsed JSON / raw text / a file on disk, then
+// runs validate(). Validation is strict (see file comment).
 ExperimentSpec parse_experiment(const JsonValue& root);
 ExperimentSpec parse_experiment_text(const std::string& text);
 ExperimentSpec load_experiment(const std::string& path);
 
-// Executes the spec and renders the report — the same bytes the CLI's
-// flag-driven paths produce for equivalent parameters. `format` must
-// be "csv" or "json".
+// Validates, executes the spec and renders the report — the same
+// bytes for a spec read from flags or from JSON. `format` must be
+// "csv" or "json".
 std::string run_experiment(const ExperimentSpec& spec, ThreadPool& pool,
                            const std::string& format);
 

@@ -1,28 +1,13 @@
-// xlf_explore — parallel trade-off exploration CLI.
+// xlf_explore — parallel trade-off exploration CLI: the configuration
+// space (program algorithm x ECC capability over a lifetime grid, with
+// Pareto fronts and optional Monte-Carlo validation) or the multi-die
+// FTL sweep, as CSV (default) or JSON on stdout or --out.
 //
-// Two ways to describe an experiment:
-//  * flags (below) for quick interactive runs;
-//  * --spec file.json, a declarative experiment spec (the JSON shape
-//    is documented in src/explore/experiment.hpp and examples/specs/)
-//    which can additionally sweep arbitrary policy combinations —
-//    GC x wear x tuning x refresh — by registry name.
-// Both paths build the same explore::ExperimentSpec and run through
-// explore::run_experiment, so a spec that mirrors a flag set produces
-// byte-identical output.
-//
-// Engines: the (program algorithm x ECC capability) configuration
-// space over a log-spaced lifetime grid with per-age Pareto fronts
-// and optional Monte-Carlo validation, or the multi-die FTL sweep
-// (topology x queue depth x policy combination). Emits CSV (default)
-// or JSON on stdout or --out.
-//
-// Determinism contract: for a fixed spec and --seed, the output is
-// byte-identical for every --threads value (parallel tasks write
-// preallocated slots; reduction is serial) — so exploration results
-// are reproducible artifacts, not run-dependent samples.
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+// The experiment comes from flags or from --spec file.json; both are
+// read through one option table (src/explore/options.hpp), checked by
+// explore::validate and run by explore::run_experiment, so a spec that
+// mirrors a flag line prints the same bytes. For a fixed experiment the
+// output is byte-identical for every --threads value.
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
@@ -30,6 +15,7 @@
 #include <vector>
 
 #include "src/explore/experiment.hpp"
+#include "src/explore/options.hpp"
 #include "src/policy/policy.hpp"
 #include "src/policy/registry.hpp"
 #include "src/util/thread_pool.hpp"
@@ -37,16 +23,6 @@
 namespace {
 
 using namespace xlf;
-
-struct Options {
-  explore::ExperimentSpec experiment = explore::ExperimentSpec::defaults();
-  std::string spec_path;        // --spec; exclusive with shaping flags
-  bool shaped_by_flags = false; // any experiment-shaping flag seen
-  bool show_version = false;    // --version/--build-info; excl. --spec
-  unsigned threads = 0;         // 0 = hardware concurrency
-  std::string format;           // empty = csv
-  std::string out_path;         // empty = stdout
-};
 
 // Build provenance (--version/--build-info): with sweeps feeding CSV
 // artifacts into papers, the binary must be able to say exactly what
@@ -62,68 +38,17 @@ void print_build_info() {
 void usage() {
   std::cerr <<
       "usage: xlf_explore [options]\n"
-      "  --spec FILE           run a declarative JSON experiment spec\n"
-      "                        (exclusive with the sweep-shaping flags below;\n"
-      "                        --threads/--format/--out still apply)\n"
-      "  --list-policies       print the registered policy names per kind\n"
-      "                        (tuning, gc, wear, refresh, arbitration) and exit\n"
-      "  --version             print version + build provenance (compiler,\n"
-      "  --build-info          build type, sanitizer flags) and exit;\n"
-      "                        exclusive with --spec\n"
-      "  --threads N           total threads, 1 = serial (default: hardware)\n"
+      "  --spec FILE           run a JSON experiment spec (exclusive with the\n"
+      "                        experiment flags; --threads/--format/--out apply)\n"
+      "  --list-policies       print the registered policy names per kind, exit\n"
+      "  --version             print build provenance (compiler, build type,\n"
+      "  --build-info          sanitizers) and exit; exclusive with --spec\n"
+      "  --threads N           threads in [0, 4096], 1 = serial, 0 = hardware\n"
+      "                        concurrency (default 0)\n"
       "  --format csv|json     output format (default csv)\n"
       "  --out PATH            write to PATH instead of stdout\n"
-      "  --ages LO:HI:POINTS   log-spaced P/E grid (default 1:1e6:13)\n"
-      "  --pareto-only         emit only Pareto-front rows of the space\n"
-      "  --uber-target X       UBER target for the ECC schedule (1e-11)\n"
-      "  --point NAME          baseline|min-uber|max-read (baseline)\n"
-      "  --workloads LIST      comma list of sequential-read,random-read,\n"
-      "                        write-burst,mixed,streaming\n"
-      "  --mc-replicas R       Monte-Carlo replicas per workload (0 = off)\n"
-      "  --mc-requests N       requests per replica (32)\n"
-      "  --mc-age CYCLES       age for the validation (default: last grid age)\n"
-      "  --seed S              root seed for all replica streams\n"
-      "FTL sweep mode (multi-die SSD: L2P + GC + wear leveling + refresh):\n"
-      "  --ftl-sweep           sweep FTL policy x queue depth x topology\n"
-      "                        instead of the configuration space\n"
-      "  --ftl-topologies L    comma list of CxD (channels x dies/channel,\n"
-      "                        default 1x1,2x1)\n"
-      "  --ftl-qd LIST         queue depths (default 1,4)\n"
-      "  --ftl-queues LIST     submission-queue counts (default 1)\n"
-      "  --ftl-arbitration LIST  arbitration policies by registry name\n"
-      "                        (default round-robin)\n"
-      "  --ftl-queue-weights LIST  per-queue arbitration weights, queue 0\n"
-      "                        first (shorter lists pad with 1; default equal)\n"
-      "  --ftl-gc LIST         GC policies by registry name\n"
-      "                        (default greedy,cost-benefit)\n"
-      "  --ftl-wear LIST       wear policies by registry name (default dynamic)\n"
-      "  --ftl-tuning LIST     tuning policies by registry name\n"
-      "                        (default model_based)\n"
-      "  --ftl-refresh LIST    refresh policies by registry name (default none)\n"
-      "  --ftl-fail-blocks LIST  grown-bad blocks injected per die (the\n"
-      "                        lowest block ids fail on first erase;\n"
-      "                        default 0 — needs spare blocks beyond the\n"
-      "                        logical share + GC slack)\n"
-      "  --ftl-requests N      host requests per combo (200)\n"
-      "  --ftl-blocks B        blocks per die (8)\n"
-      "  --ftl-pages P         pages per block (4)\n"
-      "  --ftl-initial-wear C  uniform starting P/E cycles (1e4)\n"
-      "  --ftl-wear-per-erase C  lifetime compression per erase (3e4)\n"
-      "  --ftl-logical-fraction F  logical share of physical pages (0.6)\n"
-      "  --ftl-read-fraction F hot-cold workload read share (0.3)\n"
-      "  --ftl-hot-fraction F  hot slice of the LPA space (0.25)\n"
-      "  --ftl-hot-writes F    write share hitting the hot slice (0.85)\n"
-      "  --ftl-trim-fraction F share of non-read requests that trim a\n"
-      "                        written LPA (0)\n"
-      "  --ftl-data-plane M    bit-true | meta: cell arrays or metadata-only\n"
-      "                        devices (timing/energy models, no payload\n"
-      "                        bits; default bit-true)\n"
-      "  --ftl-shard-dies      shard each combo's cell work into per-die\n"
-      "                        queues drained on the thread pool (combos\n"
-      "                        then run serially; rows are byte-identical\n"
-      "                        either way; needs bit-true data plane)\n"
-      "  --ftl-perf            report wall-clock commands/s per combo\n"
-      "                        beside the deterministic rows (JSON only)\n";
+      "experiment flags and spec keys:\n"
+            << explore::flag_help();
 }
 
 // The discovery companion of the registry's unknown-name errors: the
@@ -143,329 +68,74 @@ void list_policies() {
        PolicyRegistry<policy::ArbitrationPolicy>::instance().names());
 }
 
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const std::size_t end = s.find(sep, start);
-    if (end == std::string::npos) {
-      out.push_back(s.substr(start));
-      break;
-    }
-    out.push_back(s.substr(start, end - start));
-    start = end + 1;
-  }
-  return out;
-}
-
-bool parse_topologies(const std::string& list, Options& opt) {
-  opt.experiment.ftl.topologies.clear();
-  for (const std::string& part : split(list, ',')) {
-    const std::optional<controller::DispatchConfig> topology =
-        explore::parse_topology(part);
-    if (!topology.has_value()) {
-      std::cerr << "xlf_explore: --ftl-topologies expects CxD entries, got "
-                << part << "\n";
-      return false;
-    }
-    opt.experiment.ftl.topologies.push_back(*topology);
-  }
-  return true;
-}
-
-bool parse_args(int argc, char** argv, Options& opt) {
-  explore::ExperimentSpec& exp = opt.experiment;
-  auto value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << "xlf_explore: missing value for " << argv[i] << "\n";
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  // Experiment-shaping flags mark the options object so a conflicting
-  // --spec can be rejected; output/threading flags stay independent.
-  auto shape = [&] { opt.shaped_by_flags = true; };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const char* v = nullptr;
-    if (arg == "--help" || arg == "-h") {
-      usage();
-      std::exit(0);
-    } else if (arg == "--list-policies") {
-      list_policies();
-      std::exit(0);
-    } else if (arg == "--version" || arg == "--build-info") {
-      // Not an immediate exit: a later --spec on the line must still
-      // be rejected (same exclusivity teaching as shaping flags).
-      opt.show_version = true;
-    } else if (arg == "--spec") {
-      if ((v = value(i)) == nullptr) return false;
-      opt.spec_path = v;
-    } else if (arg == "--pareto-only") {
-      shape();
-      exp.pareto_only = true;
-    } else if (arg == "--ages") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      const auto parts = split(v, ':');
-      if (parts.size() != 3) {
-        std::cerr << "xlf_explore: --ages expects LO:HI:POINTS\n";
-        return false;
-      }
-      exp.age_lo = std::atof(parts[0].c_str());
-      exp.age_hi = std::atof(parts[1].c_str());
-      exp.age_points = static_cast<std::size_t>(std::atoll(parts[2].c_str()));
-      if (exp.age_points < 2 || exp.age_lo <= 0.0 ||
-          exp.age_hi <= exp.age_lo) {
-        std::cerr << "xlf_explore: invalid --ages grid\n";
-        return false;
-      }
-    } else if (arg == "--threads") {
-      if ((v = value(i)) == nullptr) return false;
-      const long threads = std::atol(v);
-      if (threads < 0 || threads > 4096) {
-        std::cerr << "xlf_explore: --threads must be in [0, 4096]\n";
-        return false;
-      }
-      opt.threads = static_cast<unsigned>(threads);
-    } else if (arg == "--format") {
-      if ((v = value(i)) == nullptr) return false;
-      opt.format = v;
-      if (opt.format != "csv" && opt.format != "json") {
-        std::cerr << "xlf_explore: --format must be csv or json\n";
-        return false;
-      }
-    } else if (arg == "--out") {
-      if ((v = value(i)) == nullptr) return false;
-      opt.out_path = v;
-    } else if (arg == "--uber-target") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      exp.uber_target = std::atof(v);
-    } else if (arg == "--point") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      exp.point = v;
-    } else if (arg == "--workloads") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      exp.mc_workloads = split(v, ',');
-    } else if (arg == "--mc-replicas") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      exp.mc_replicas = static_cast<std::size_t>(std::atoll(v));
-    } else if (arg == "--mc-requests") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      exp.mc_requests = static_cast<std::size_t>(std::atoll(v));
-    } else if (arg == "--mc-age") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      exp.mc_age = std::atof(v);
-    } else if (arg == "--seed") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      exp.seed = std::strtoull(v, nullptr, 0);
-    } else if (arg == "--ftl-sweep") {
-      shape();
-      exp.mode = explore::ExperimentSpec::Mode::kFtlSweep;
-    } else if (arg == "--ftl-topologies") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      if (!parse_topologies(v, opt)) return false;
-    } else if (arg == "--ftl-qd") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      exp.ftl.queue_depths.clear();
-      for (const std::string& part : split(v, ',')) {
-        const long qd = std::atol(part.c_str());
-        if (qd < 1) {
-          std::cerr << "xlf_explore: --ftl-qd entries must be >= 1\n";
-          return false;
-        }
-        exp.ftl.queue_depths.push_back(static_cast<std::size_t>(qd));
-      }
-    } else if (arg == "--ftl-queues") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      exp.ftl.queue_counts.clear();
-      for (const std::string& part : split(v, ',')) {
-        const long queues = std::atol(part.c_str());
-        if (queues < 1) {
-          std::cerr << "xlf_explore: --ftl-queues entries must be >= 1\n";
-          return false;
-        }
-        exp.ftl.queue_counts.push_back(static_cast<std::size_t>(queues));
-      }
-    } else if (arg == "--ftl-arbitration") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      exp.ftl.arbitration_policies = split(v, ',');
-    } else if (arg == "--ftl-queue-weights") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      exp.ftl.queue_weights.clear();
-      for (const std::string& part : split(v, ',')) {
-        const double weight = std::atof(part.c_str());
-        if (weight <= 0.0) {
-          std::cerr << "xlf_explore: --ftl-queue-weights entries must be "
-                       "> 0\n";
-          return false;
-        }
-        exp.ftl.queue_weights.push_back(weight);
-      }
-    } else if (arg == "--ftl-trim-fraction") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      exp.ftl.trim_fraction = std::atof(v);
-      if (exp.ftl.trim_fraction < 0.0 || exp.ftl.trim_fraction >= 1.0) {
-        std::cerr << "xlf_explore: --ftl-trim-fraction must lie in [0, 1)\n";
-        return false;
-      }
-    } else if (arg == "--ftl-gc") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      exp.ftl.gc_policies = split(v, ',');
-    } else if (arg == "--ftl-wear") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      exp.ftl.wear_policies = split(v, ',');
-    } else if (arg == "--ftl-tuning") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      exp.ftl.tuning_policies = split(v, ',');
-    } else if (arg == "--ftl-refresh") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      exp.ftl.refresh_policies = split(v, ',');
-    } else if (arg == "--ftl-fail-blocks") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      exp.ftl.fail_blocks.clear();
-      for (const std::string& part : split(v, ',')) {
-        const long fail = std::atol(part.c_str());
-        if (fail < 0) {
-          std::cerr << "xlf_explore: --ftl-fail-blocks entries must be >= 0\n";
-          return false;
-        }
-        exp.ftl.fail_blocks.push_back(static_cast<std::uint32_t>(fail));
-      }
-    } else if (arg == "--ftl-requests") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      exp.ftl.requests = static_cast<std::size_t>(std::atoll(v));
-    } else if (arg == "--ftl-blocks") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      exp.ftl.base.die.device.array.geometry.blocks =
-          static_cast<std::uint32_t>(std::atol(v));
-    } else if (arg == "--ftl-pages") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      exp.ftl.base.die.device.array.geometry.pages_per_block =
-          static_cast<std::uint32_t>(std::atol(v));
-    } else if (arg == "--ftl-initial-wear") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      exp.ftl.base.initial_pe_cycles = std::atof(v);
-    } else if (arg == "--ftl-wear-per-erase") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      exp.ftl.base.ftl.pe_cycles_per_erase = std::atof(v);
-    } else if (arg == "--ftl-logical-fraction") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      exp.ftl.base.ftl.logical_fraction = std::atof(v);
-    } else if (arg == "--ftl-read-fraction") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      exp.ftl.read_fraction = std::atof(v);
-    } else if (arg == "--ftl-hot-fraction") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      exp.ftl.hot_fraction = std::atof(v);
-    } else if (arg == "--ftl-hot-writes") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      exp.ftl.hot_write_fraction = std::atof(v);
-    } else if (arg == "--ftl-data-plane") {
-      shape();
-      if ((v = value(i)) == nullptr) return false;
-      const std::string mode = v;
-      if (mode == "bit-true") {
-        exp.ftl.data_plane = true;
-      } else if (mode == "meta") {
-        exp.ftl.data_plane = false;
-      } else {
-        std::cerr << "xlf_explore: --ftl-data-plane expects bit-true or "
-                     "meta, got "
-                  << mode << "\n";
-        return false;
-      }
-    } else if (arg == "--ftl-shard-dies") {
-      shape();
-      exp.ftl.shard_dies = true;
-    } else if (arg == "--ftl-perf") {
-      shape();
-      exp.ftl.measure_throughput = true;
-    } else {
-      std::cerr << "xlf_explore: unknown flag '" << arg
-                << "' (try --help)\n";
-      return false;
-    }
-  }
-  if (!exp.ftl.data_plane && exp.ftl.shard_dies) {
-    std::cerr << "xlf_explore: --ftl-shard-dies needs the bit-true data "
-                 "plane (metadata-only devices have no cell work to "
-                 "shard)\n";
-    return false;
-  }
-  if (exp.ftl.measure_throughput && opt.format != "json") {
-    std::cerr << "xlf_explore: --ftl-perf throughput is reported in the "
-                 "JSON output only; add --format json\n";
-    return false;
-  }
-  if (!opt.spec_path.empty() && opt.shaped_by_flags) {
-    std::cerr << "xlf_explore: --spec is exclusive with the sweep-shaping "
-                 "flags; put the experiment in the spec file "
-                 "(--threads/--format/--out still apply)\n";
-    return false;
-  }
-  if (opt.show_version && !opt.spec_path.empty()) {
-    std::cerr << "xlf_explore: --version/--build-info is exclusive with "
-                 "--spec; query provenance and run the experiment as two "
-                 "invocations\n";
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt;
-  if (!parse_args(argc, argv, opt)) return 2;
-  if (opt.show_version) {
-    print_build_info();
-    return 0;
-  }
-
   try {
-    if (!opt.spec_path.empty()) {
-      opt.experiment = explore::load_experiment(opt.spec_path);
+    explore::ExperimentSpec experiment = explore::ExperimentSpec::defaults();
+    std::string spec_path;
+    std::string format = "csv";
+    std::string out_path;          // empty = stdout
+    bool shaped_by_flags = false;  // any experiment flag seen
+    bool show_version = false;
+    unsigned threads = 0;          // 0 = hardware concurrency
+
+    const std::vector<std::string> args(argv + 1, argv + argc);
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      const std::string& arg = args[i];
+      const auto value = [&]() -> const std::string& {
+        if (i + 1 == args.size()) {
+          throw std::invalid_argument("missing value for " + arg);
+        }
+        return args[++i];
+      };
+      if (arg == "--help" || arg == "-h" || arg == "--list-policies") {
+        arg == "--list-policies" ? list_policies() : usage();
+        return 0;
+      } else if (arg == "--version" || arg == "--build-info") {
+        show_version = true;  // exits after the --spec conflict check
+      } else if (arg == "--spec") {
+        spec_path = value();
+      } else if (arg == "--threads") {
+        threads = static_cast<unsigned>(
+            explore::parse_integer(value(), "--threads", 0, 4096));
+      } else if (arg == "--format") {
+        format = value();
+      } else if (arg == "--out") {
+        out_path = value();
+      } else if (explore::apply_flag(experiment, args, i)) {
+        shaped_by_flags = true;
+      } else {
+        throw std::invalid_argument("unknown flag '" + arg + "' (try --help)");
+      }
     }
-    const std::string format = opt.format.empty() ? "csv" : opt.format;
+    if (!spec_path.empty() && shaped_by_flags) {
+      throw std::invalid_argument(
+          "--spec is exclusive with the sweep-shaping flags; put the "
+          "experiment in the spec file (--threads/--format/--out still "
+          "apply)");
+    }
+    if (show_version && !spec_path.empty()) {
+      throw std::invalid_argument(
+          "--version/--build-info is exclusive with --spec; query "
+          "provenance and run the experiment as two invocations");
+    }
+    if (!spec_path.empty()) experiment = explore::load_experiment(spec_path);
+    explore::validate(experiment, format);
+    if (show_version) {
+      print_build_info();
+      return 0;
+    }
 
-    ThreadPool pool(opt.threads);
+    ThreadPool pool(threads);
     const std::string report =
-        explore::run_experiment(opt.experiment, pool, format);
-
-    if (opt.out_path.empty()) {
+        explore::run_experiment(experiment, pool, format);
+    if (out_path.empty()) {
       std::cout << report;
     } else {
-      std::ofstream file(opt.out_path);
+      std::ofstream file(out_path);
       if (!file) {
-        std::cerr << "xlf_explore: cannot open " << opt.out_path << "\n";
+        std::cerr << "xlf_explore: cannot open " << out_path << "\n";
         return 1;
       }
       file << report;
