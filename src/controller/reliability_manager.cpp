@@ -1,5 +1,7 @@
 #include "src/controller/reliability_manager.hpp"
 
+#include <bit>
+
 #include "src/policy/registry.hpp"
 #include "src/util/expect.hpp"
 
@@ -31,9 +33,11 @@ void ReliabilityManager::set_policy(const std::string& policy_name) {
 }
 
 unsigned ReliabilityManager::t_for_rber(double rber) const {
-  const auto t =
-      bch::min_t_for_uber(rber, config_.uber_target, config_.k, config_.m,
-                          config_.t_min, config_.t_max);
+  const std::optional<unsigned> t =
+      t_memo_.get(std::bit_cast<std::uint64_t>(rber), [&] {
+        return bch::min_t_for_uber(rber, config_.uber_target, config_.k,
+                                   config_.m, config_.t_min, config_.t_max);
+      });
   saturated_ = !t.has_value();
   return t.value_or(config_.t_max);
 }

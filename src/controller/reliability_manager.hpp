@@ -7,9 +7,10 @@
 // closes the loop in the model-based and feedback cases.
 //
 // The manager owns all mutable state (the EWMA estimator, the
-// saturation flag); the policy object is immutable and consulted per
-// decision with a TuningContext snapshot, so one policy instance is
-// safely shared across dies and threads.
+// saturation flag, the memo of recent UBER solves); the policy object
+// is immutable and consulted per decision with a TuningContext
+// snapshot, so one policy instance is safely shared across dies and
+// threads.
 #pragma once
 
 #include <memory>
@@ -19,6 +20,7 @@
 #include "src/bch/code_params.hpp"
 #include "src/nand/aging.hpp"
 #include "src/policy/policy.hpp"
+#include "src/util/recent_memo.hpp"
 
 namespace xlf::controller {
 
@@ -78,6 +80,9 @@ class ReliabilityManager {
   // the UBER equation. Nested for private access; defined in the cpp.
   struct Host;
 
+  // The UBER solve, memoised: its answer is a pure function of rber
+  // and the fixed config, and a block's rber repeats on every write
+  // between two of its erases.
   unsigned t_for_rber(double rber) const;
 
   ReliabilityConfig config_;
@@ -87,6 +92,10 @@ class ReliabilityManager {
   double rber_estimate_ = 0.0;
   unsigned pages_seen_ = 0;
   mutable bool saturated_ = false;
+  // Recent solves keyed by the rber's bit pattern; nullopt = the
+  // target is out of reach within t_max. A few entries cover the
+  // open blocks a die writes in turn (host hot/cold and GC frontiers).
+  mutable RecentMemo<std::uint64_t, std::optional<unsigned>, 8> t_memo_;
 };
 
 }  // namespace xlf::controller

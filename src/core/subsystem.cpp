@@ -1,6 +1,7 @@
 #include "src/core/subsystem.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/util/expect.hpp"
 
@@ -13,9 +14,11 @@ SubsystemConfig SubsystemConfig::defaults() {
   return config;
 }
 
-MemorySubsystem::MemorySubsystem(const SubsystemConfig& config)
+MemorySubsystem::MemorySubsystem(const SubsystemConfig& config,
+                                 std::shared_ptr<nand::IsppTraceCache> traces)
     : config_(config),
-      device_(std::make_unique<nand::NandDevice>(config.device)),
+      device_(std::make_unique<nand::NandDevice>(config.device,
+                                                 std::move(traces))),
       controller_(std::make_unique<controller::MemoryController>(
           config.controller, *device_, config.hv)),
       framework_(std::make_unique<CrossLayerFramework>(

@@ -50,7 +50,12 @@ struct Segment {
 
 class MemorySubsystem {
  public:
-  explicit MemorySubsystem(const SubsystemConfig& config);
+  // `traces` shares the device's ISPP characterisation cache with
+  // another subsystem whose config differs at most in the array seed
+  // (an Ssd's dies); nullptr starts a private cache.
+  explicit MemorySubsystem(
+      const SubsystemConfig& config,
+      std::shared_ptr<nand::IsppTraceCache> traces = nullptr);
 
   nand::NandDevice& device() { return *device_; }
   controller::MemoryController& controller() { return *controller_; }

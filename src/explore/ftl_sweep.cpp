@@ -1,8 +1,10 @@
 #include "src/explore/ftl_sweep.hpp"
 
 #include <algorithm>
+#include <new>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "src/ftl/fault.hpp"
 #include "src/sim/die_shard.hpp"
@@ -11,6 +13,31 @@
 #include "src/util/stopwatch.hpp"
 
 namespace xlf::explore {
+namespace {
+
+std::runtime_error stream_too_large(std::size_t requests) {
+  std::ostringstream msg;
+  msg << "--ftl-requests / workload.requests = " << requests
+      << ": a stream of that many host commands does not fit in memory";
+  return std::runtime_error(msg.str());
+}
+
+// A combo's command stream is materialised whole, so the request count
+// is bounded by memory. A count beyond it names the input that set it
+// instead of passing the allocator's bare message up.
+std::vector<host::Command> generate_commands(
+    const sim::MultiTenantWorkload& workload, std::uint32_t logical_pages,
+    std::size_t requests, Rng& stream) {
+  try {
+    return workload.generate(logical_pages, requests, stream);
+  } catch (const std::length_error&) {
+    throw stream_too_large(requests);
+  } catch (const std::bad_alloc&) {
+    throw stream_too_large(requests);
+  }
+}
+
+}  // namespace
 
 FtlSweepResult ftl_sweep(const FtlSweepSpec& spec, ThreadPool& pool) {
   XLF_EXPECT(!spec.topologies.empty());
@@ -166,7 +193,7 @@ FtlSweepResult ftl_sweep(const FtlSweepSpec& spec, ThreadPool& pool) {
     const sim::MultiTenantWorkload workload(
         std::vector<sim::TenantSpec>(queues, tenant));
     const std::vector<host::Command> commands =
-        workload.generate(ssd.logical_pages(), spec.requests, stream);
+        generate_commands(workload, ssd.logical_pages(), spec.requests, stream);
 
     FtlSweepRow row;
     row.channels = config.topology.channels;

@@ -1,5 +1,8 @@
 #include "src/ftl/ssd.hpp"
 
+#include <memory>
+#include <utility>
+
 #include "src/util/expect.hpp"
 
 namespace xlf::ftl {
@@ -20,7 +23,13 @@ Ssd::Ssd(const SsdConfig& config)
     // Distinct device noise per die, derived deterministically.
     die_config.device.array.seed =
         config.die.device.array.seed + static_cast<std::uint64_t>(d) + 1;
-    subsystems_.push_back(std::make_unique<core::MemorySubsystem>(die_config));
+    // The seed is the only difference between dies, and ISPP
+    // characterisation never reads it: every die shares die 0's
+    // trace cache, so each key is characterised once per Ssd.
+    std::shared_ptr<nand::IsppTraceCache> traces =
+        d == 0 ? nullptr : subsystems_.front()->device().timing().trace_cache();
+    subsystems_.push_back(std::make_unique<core::MemorySubsystem>(
+        die_config, std::move(traces)));
     if (config.initial_pe_cycles > 0.0) {
       subsystems_.back()->device().set_uniform_wear(config.initial_pe_cycles);
     }

@@ -17,8 +17,10 @@ Watts NandPowerModel::program_power(nand::ProgramAlgorithm algo,
 Joules NandPowerModel::program_energy(
     nand::ProgramAlgorithm algo, double pe_cycles,
     std::optional<nand::Level> pattern) const {
-  const nand::IsppTrace& trace =
-      timing_->sample_trace(algo, pe_cycles, pattern);
+  return program_energy(timing_->sample_trace(algo, pe_cycles, pattern));
+}
+
+Joules NandPowerModel::program_energy(const nand::IsppTrace& trace) const {
   return subsystem_.energy(trace).total();
 }
 

@@ -1,17 +1,20 @@
 #include "src/nand/device.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/util/expect.hpp"
 
 namespace xlf::nand {
 
-NandDevice::NandDevice(const DeviceConfig& config)
+NandDevice::NandDevice(const DeviceConfig& config,
+                       std::shared_ptr<IsppTraceCache> traces)
     : config_(config),
       array_(config.data_plane ? std::make_unique<NandArray>(config.array)
                                : nullptr),
       timing_(config.timing, config.array.ispp, config.array.plan,
-              config.array.variability, config.array.aging),
+              config.array.variability, config.array.aging,
+              std::move(traces)),
       resident_(config.available_algorithms) {
   XLF_EXPECT(!resident_.empty());
   active_algorithm_ = resident_.front();

@@ -68,7 +68,11 @@ struct EraseOutcome {
 
 class NandDevice {
  public:
-  explicit NandDevice(const DeviceConfig& config);
+  // `traces` shares a characterisation cache built for an equal
+  // TimingConfig and array model (see IsppTraceCache); nullptr starts
+  // a private one.
+  explicit NandDevice(const DeviceConfig& config,
+                      std::shared_ptr<IsppTraceCache> traces = nullptr);
 
   const DeviceConfig& config() const { return config_; }
   const Geometry& geometry() const { return config_.array.geometry; }

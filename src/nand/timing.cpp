@@ -1,6 +1,8 @@
 #include "src/nand/timing.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "src/util/expect.hpp"
 
@@ -9,14 +11,52 @@ namespace xlf::nand {
 NandTiming::NandTiming(const TimingConfig& config, const IsppConfig& ispp,
                        const VoltagePlan& plan,
                        const VariabilityConfig& variability,
-                       const AgingLaw& aging)
+                       const AgingLaw& aging,
+                       std::shared_ptr<IsppTraceCache> traces)
     : config_(config),
       ispp_config_(ispp),
       plan_(plan),
       aging_(aging),
       variability_(variability, aging),
-      engine_(ispp, plan) {
+      engine_(ispp, plan),
+      traces_(traces != nullptr ? std::move(traces)
+                                : std::make_shared<IsppTraceCache>()) {
   XLF_EXPECT(config_.sample_cells >= 64);
+}
+
+std::optional<std::size_t> IsppTraceCache::slot(const Key& key) {
+  if (key.algo < 0 || static_cast<std::size_t>(key.algo) >= kAlgos ||
+      key.pattern < -1 ||
+      static_cast<std::size_t>(key.pattern + 1) >= kPatterns || key.age < 0 ||
+      static_cast<std::size_t>(key.age) >= kAgeKeys) {
+    return std::nullopt;
+  }
+  return (static_cast<std::size_t>(key.algo) * kPatterns +
+          static_cast<std::size_t>(key.pattern + 1)) *
+             kAgeKeys +
+         static_cast<std::size_t>(key.age);
+}
+
+const IsppTrace* IsppTraceCache::find(const Key& key) const {
+  if (const auto index = slot(key)) {
+    return table_[*index].load(std::memory_order_acquire);
+  }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = entries_.find({key.algo, key.pattern, key.age});
+  return it != entries_.end() ? &it->second : nullptr;
+}
+
+const IsppTrace& IsppTraceCache::insert(const Key& key, IsppTrace trace) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  // The first entry for a key wins; the map node never moves, so its
+  // address is safe to publish and to return past the lock.
+  const IsppTrace& entry =
+      entries_.try_emplace({key.algo, key.pattern, key.age}, std::move(trace))
+          .first->second;
+  if (const auto index = slot(key)) {
+    table_[*index].store(&entry, std::memory_order_release);
+  }
+  return entry;
 }
 
 Seconds NandTiming::io_transfer_time(std::size_t bytes) const {
@@ -32,12 +72,16 @@ IsppTrace NandTiming::characterize(ProgramAlgorithm algo, double pe_cycles,
   // draw but very stable in expectation.
   constexpr unsigned kRuns = 3;
   const double zone = aging_.dv_zone_multiplier(pe_cycles);
+  // The seed mixes in the whole cycle count; ages from 2^64 up (keys
+  // past the lock-free table) saturate, as the cast would be undefined.
+  const std::uint64_t cycles = pe_cycles < 0x1p64
+                                   ? static_cast<std::uint64_t>(pe_cycles)
+                                   : UINT64_MAX;
   IsppTrace averaged;
   double pulses = 0.0, verify_ops = 0.0, failed = 0.0;
   for (unsigned run = 0; run < kRuns; ++run) {
     Rng rng(config_.sample_seed ^ (static_cast<std::uint64_t>(algo) << 32) ^
-            (static_cast<std::uint64_t>(run) << 40) ^
-            static_cast<std::uint64_t>(pe_cycles));
+            (static_cast<std::uint64_t>(run) << 40) ^ cycles);
     std::vector<FloatingGateCell> cells;
     std::vector<Level> targets;
     cells.reserve(config_.sample_cells);
@@ -74,32 +118,22 @@ const IsppTrace& NandTiming::sample_trace(ProgramAlgorithm algo,
                                           double pe_cycles,
                                           std::optional<Level> pattern) const {
   XLF_EXPECT(pe_cycles >= 0.0);
-  const int pattern_key =
-      pattern.has_value() ? static_cast<int>(*pattern) : -1;
   // Quantise the age to 12 points per decade: program time varies
   // slowly with wear and the ISPP sample run is expensive.
-  const long age_key =
-      std::lround(std::log10(std::max(pe_cycles, 1.0)) * 12.0);
-  const auto key = std::make_tuple(static_cast<int>(algo), pattern_key, age_key);
-  {
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    const auto it = cache_.find(key);
-    if (it != cache_.end()) return it->second;
-  }
+  const IsppTraceCache::Key key{
+      static_cast<int>(algo),
+      pattern.has_value() ? static_cast<int>(*pattern) : -1,
+      std::lround(std::log10(std::max(pe_cycles, 1.0)) * 12.0)};
+  if (const IsppTrace* hit = traces_->find(key)) return *hit;
   // Characterise at the key's canonical age, not the exact request:
   // the entry is then a pure function of the key, so concurrent
   // first callers — even for *different* ages quantising to the same
-  // key — compute bit-identical traces and any try_emplace race is
-  // harmless (the loser's duplicate is discarded). Computing outside
-  // the lock keeps cold-cache characterisations parallel across
-  // workers, which is where the sweep's speedup lives.
+  // key — compute bit-identical traces and the insert race is
+  // harmless. Computing outside the lock keeps cold-cache
+  // characterisations parallel across workers and dies.
   const double canonical_age =
-      std::pow(10.0, static_cast<double>(age_key) / 12.0);
-  IsppTrace trace = characterize(algo, canonical_age, pattern);
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  // The returned reference outlives the lock safely — map nodes are
-  // stable and entries are never erased.
-  return cache_.try_emplace(key, std::move(trace)).first->second;
+      std::pow(10.0, static_cast<double>(key.age) / 12.0);
+  return traces_->insert(key, characterize(algo, canonical_age, pattern));
 }
 
 Seconds NandTiming::program_time(ProgramAlgorithm algo,

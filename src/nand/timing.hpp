@@ -8,9 +8,13 @@
 // and the growing ISPP-DV penalty (Fig. 9) come from.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
+#include <tuple>
 
 #include "src/nand/aging.hpp"
 #include "src/nand/ispp.hpp"
@@ -36,11 +40,58 @@ struct TimingConfig {
   std::uint64_t sample_seed = 0xB10C5EED;
 };
 
+// Characterised ISPP traces keyed by (algorithm, pattern, quantised
+// age). An entry is a pure function of its key and of the
+// characterisation inputs (TimingConfig's sample fields and the
+// array's ISPP, plan, variability and aging configs — never
+// ArrayConfig::seed), so every NandTiming built from equal inputs may
+// share one cache: an Ssd hands die 0's to dies 1..N-1, whose configs
+// differ only in the array seed.
+//
+// Concurrency: find() on a key inside the fixed table is lock-free —
+// one acquire load of a slot that insert() publishes with a release
+// store after the entry is in place; keys beyond the table (ages past
+// kAgeKeys, algorithms or patterns outside the enums) fall back to a
+// mutex-guarded map lookup. insert() keeps the first entry for a key
+// and returns it, so a duplicate characterisation race is harmless.
+// Entries are never moved or erased: a returned reference stays valid
+// for the lifetime of the cache.
+class IsppTraceCache {
+ public:
+  struct Key {
+    int algo = 0;
+    int pattern = -1;  // level index, -1 = uniform random data
+    long age = 0;      // lround(12 * log10(max(pe_cycles, 1)))
+  };
+
+  // nullptr on a miss.
+  const IsppTrace* find(const Key& key) const;
+  const IsppTrace& insert(const Key& key, IsppTrace trace);
+
+ private:
+  // 2 algorithms x (4 levels + random) x ages 1 ... 1e10 cycles.
+  static constexpr std::size_t kAlgos = 2;
+  static constexpr std::size_t kPatterns = 5;
+  static constexpr std::size_t kAgeKeys = 121;
+  static std::optional<std::size_t> slot(const Key& key);
+
+  std::array<std::atomic<const IsppTrace*>, kAlgos * kPatterns * kAgeKeys>
+      table_{};
+  // Owns every entry. A pure memo, never held across a call out of
+  // this class, so no lock ordering can form around it.
+  mutable std::mutex mutex_;  // xlf-lint: allow(lock-order)
+  std::map<std::tuple<int, int, long>, IsppTrace> entries_;
+};
+
 class NandTiming {
  public:
+  // `traces` shares another NandTiming's characterisation cache; it
+  // must come from a NandTiming with equal characterisation inputs
+  // (see IsppTraceCache). nullptr starts a private cache.
   NandTiming(const TimingConfig& config, const IsppConfig& ispp,
              const VoltagePlan& plan, const VariabilityConfig& variability,
-             const AgingLaw& aging);
+             const AgingLaw& aging,
+             std::shared_ptr<IsppTraceCache> traces = nullptr);
 
   Seconds read_time() const { return config_.read_time; }
   Seconds erase_time() const { return config_.erase_time; }
@@ -51,14 +102,11 @@ class NandTiming {
   // (the Fig. 6 L1/L2/L3 patterns); nullopt = uniform random data.
   // Results are cached on a log-spaced age grid (12 keys per decade)
   // and characterised at the key's canonical age, so an entry is a
-  // pure function of (algo, pattern, quantised age). Thread-safe:
-  // lookups and insertion are lock-guarded while the characterisation
-  // itself runs outside the lock (cold-cache keys characterise in
-  // parallel), and key-purity makes a duplicate-compute race
-  // value-identical — concurrent callers always observe the same
-  // bits regardless of which thread populated the entry. The returned
-  // reference stays valid for the lifetime of this object (std::map
-  // nodes are stable and never erased).
+  // pure function of (algo, pattern, quantised age) and concurrent
+  // callers observe the same bits whichever thread filled it. A hit
+  // takes no lock; a miss characterises outside any lock, so cold
+  // keys fill in parallel. The reference stays valid while any
+  // NandTiming sharing the cache lives.
   const IsppTrace& sample_trace(ProgramAlgorithm algo, double pe_cycles,
                                 std::optional<Level> pattern = std::nullopt) const;
 
@@ -70,6 +118,9 @@ class NandTiming {
                           std::size_t page_bytes, LoadStrategy strategy) const;
 
   const TimingConfig& config() const { return config_; }
+  const std::shared_ptr<IsppTraceCache>& trace_cache() const {
+    return traces_;
+  }
 
  private:
   IsppTrace characterize(ProgramAlgorithm algo, double pe_cycles,
@@ -81,15 +132,7 @@ class NandTiming {
   AgingLaw aging_;
   VariabilitySampler variability_;
   IsppEngine engine_;
-  // Cache key: (algo, pattern index or -1, quantised log10 cycles).
-  // Guarded by cache_mutex_; characterisation runs under the lock so
-  // an entry is computed exactly once. The mutex makes NandTiming
-  // non-copyable — callers that used to clone private instances as a
-  // thread-safety workaround (the explore sweep) share one instead.
-  // Predates the lock-order rule: a pure memo cache, never held across
-  // a call out of this class, so no ordering can form around it.
-  mutable std::mutex cache_mutex_;  // xlf-lint: allow(lock-order)
-  mutable std::map<std::tuple<int, int, long>, IsppTrace> cache_;
+  std::shared_ptr<IsppTraceCache> traces_;
 };
 
 }  // namespace xlf::nand

@@ -382,6 +382,31 @@ TEST(Ftl, StaticWearLevelingSwapsColdBlocks) {
   EXPECT_EQ(stats.data_mismatches, 0u);
 }
 
+TEST(Ssd, DiesShareOneTraceCacheOnBothPlanes) {
+  for (const bool data_plane : {true, false}) {
+    SsdConfig config = small_ssd();
+    config.die.device.data_plane = data_plane;
+    Ssd ssd(config);
+    ASSERT_EQ(ssd.dies(), 2u);
+    const nand::NandTiming& die0 = ssd.die(0).device().timing();
+    const nand::NandTiming& die1 = ssd.die(1).device().timing();
+    EXPECT_EQ(die0.trace_cache(), die1.trace_cache());
+    EXPECT_EQ(&die0.sample_trace(nand::ProgramAlgorithm::kIsppSv, 2e4),
+              &die1.sample_trace(nand::ProgramAlgorithm::kIsppSv, 2e4))
+        << "data_plane " << data_plane;
+    EXPECT_EQ(&die1.sample_trace(nand::ProgramAlgorithm::kIsppDv, 7.0,
+                                 nand::Level::kL3),
+              &die0.sample_trace(nand::ProgramAlgorithm::kIsppDv, 7.0,
+                                 nand::Level::kL3))
+        << "data_plane " << data_plane;
+  }
+  // Two Ssds never share: each characterises its own keys.
+  Ssd first(small_ssd());
+  Ssd second(small_ssd());
+  EXPECT_NE(first.die(0).device().timing().trace_cache(),
+            second.die(0).device().timing().trace_cache());
+}
+
 TEST(Ssd, BlockMetricsTrackPerBlockWear) {
   Ssd ssd(small_ssd());
   // Age one block far past another and read both through the

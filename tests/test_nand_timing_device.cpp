@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/nand/device.hpp"
@@ -10,10 +15,27 @@
 namespace xlf::nand {
 namespace {
 
-NandTiming make_timing() {
-  const ArrayConfig array;
-  return NandTiming(TimingConfig{}, array.ispp, array.plan, array.variability,
-                    array.aging);
+NandTiming make_timing(const DeviceConfig& device = {},
+                       std::shared_ptr<IsppTraceCache> traces = nullptr) {
+  return NandTiming(device.timing, device.array.ispp, device.array.plan,
+                    device.array.variability, device.array.aging,
+                    std::move(traces));
+}
+
+// Every field of two traces, compared bit for bit.
+bool same_bits(const IsppTrace& a, const IsppTrace& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  return a.algorithm == b.algorithm && a.pulses == b.pulses &&
+         a.verify_ops == b.verify_ops && a.converged == b.converged &&
+         a.failed_cells == b.failed_cells &&
+         bits(a.program_pump_time.value()) ==
+             bits(b.program_pump_time.value()) &&
+         bits(a.vcg_time_integral) == bits(b.vcg_time_integral) &&
+         bits(a.verify_pump_time.value()) ==
+             bits(b.verify_pump_time.value()) &&
+         bits(a.inhibit_pump_time.value()) ==
+             bits(b.inhibit_pump_time.value()) &&
+         bits(a.setup_time.value()) == bits(b.setup_time.value());
 }
 
 TEST(Timing, DatasheetConstants) {
@@ -168,28 +190,87 @@ TEST(Device, UniformWearApplies) {
   }
 }
 
-TEST(Timing, SharedCacheIsThreadSafeAndValueStable) {
-  // The ISPP characterisation cache is the one mutable piece of
-  // NandTiming; concurrent first-touch from many workers must neither
-  // race nor change any value versus a serial reference instance.
-  const NandTiming shared = make_timing();
-  const NandTiming reference = make_timing();
-  const std::vector<double> ages{1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6};
+TEST(Timing, ArraySeedIsNotACharacterisationInput) {
+  // An Ssd's dies differ only in ArrayConfig::seed and share one trace
+  // cache; that is sound only while characterisation ignores the seed.
+  DeviceConfig die0;
+  DeviceConfig die1 = die0;
+  die1.array.seed = die0.array.seed + 12345;
+  const NandTiming a = make_timing(die0);
+  const NandTiming b = make_timing(die1);
+  for (const auto algo : {ProgramAlgorithm::kIsppSv, ProgramAlgorithm::kIsppDv}) {
+    for (const double age : {1.0, 3e3, 1e6}) {
+      for (const std::optional<Level> pattern :
+           {std::optional<Level>{}, std::optional<Level>{Level::kL2}}) {
+        EXPECT_TRUE(same_bits(a.sample_trace(algo, age, pattern),
+                              b.sample_trace(algo, age, pattern)))
+            << to_string(algo) << " " << age;
+      }
+    }
+  }
+}
 
+TEST(Timing, SharedCacheReturnsOneEntryPerKey) {
+  const DeviceConfig device;
+  const NandTiming owner = make_timing(device);
+  const NandTiming sharer = make_timing(device, owner.trace_cache());
+  EXPECT_EQ(owner.trace_cache(), sharer.trace_cache());
+  // Filled through one, hit through the other: same entry, no second
+  // characterisation. 10 and 9.2 cycles quantise to one age key (a
+  // pair whose traces differ when characterised at their exact ages).
+  const IsppTrace& a = owner.sample_trace(ProgramAlgorithm::kIsppSv, 10.0);
+  EXPECT_EQ(&sharer.sample_trace(ProgramAlgorithm::kIsppSv, 9.2), &a);
+  // A private cache holds its own entry with the same bits, even when
+  // filled from another age of the key: entries are characterised at
+  // the key's canonical age, never at the age that missed first.
+  const NandTiming alone = make_timing(device);
+  const IsppTrace& b = alone.sample_trace(ProgramAlgorithm::kIsppSv, 9.2);
+  EXPECT_NE(&b, &a);
+  EXPECT_TRUE(same_bits(a, b));
+}
+
+TEST(Timing, ConcurrentFillOfASharedCache) {
+  // Workers race on a cold cache shared by two NandTimings over mixed
+  // algorithms, patterns and ages — table keys (lock-free hits) and
+  // ages past the table (the locked map). Every caller of one key
+  // must get the same entry, with the bits of a serial reference.
+  struct Key {
+    ProgramAlgorithm algo;
+    double age;
+    std::optional<Level> pattern;
+  };
+  std::vector<Key> keys;
+  for (const auto algo : {ProgramAlgorithm::kIsppSv, ProgramAlgorithm::kIsppDv}) {
+    for (const double age : {1.0, 40.0, 2e3, 1e6, 1e12, 1e30}) {
+      keys.push_back({algo, age, std::nullopt});
+    }
+    keys.push_back({algo, 5e2, Level::kL1});
+    keys.push_back({algo, 5e2, Level::kL3});
+  }
+  const DeviceConfig device;
+  const NandTiming a = make_timing(device);
+  const NandTiming b = make_timing(device, a.trace_cache());
+  constexpr std::size_t kRounds = 6;
+  std::vector<const IsppTrace*> got(keys.size() * kRounds, nullptr);
   ThreadPool pool(8);
-  std::vector<double> sv(ages.size()), dv(ages.size());
-  pool.parallel_for(ages.size(), [&](std::size_t i) {
-    // Both algorithms from every worker: maximum cache contention.
-    sv[i] = shared.program_time(ProgramAlgorithm::kIsppSv, ages[i]).value();
-    dv[i] = shared.program_time(ProgramAlgorithm::kIsppDv, ages[i]).value();
+  pool.parallel_for(got.size(), [&](std::size_t i) {
+    const Key& key = keys[i % keys.size()];
+    const NandTiming& timing = (i / keys.size()) % 2 == 0 ? a : b;
+    got[i] = &timing.sample_trace(key.algo, key.age, key.pattern);
   });
-  for (std::size_t i = 0; i < ages.size(); ++i) {
-    EXPECT_EQ(sv[i],
-              reference.program_time(ProgramAlgorithm::kIsppSv, ages[i]).value())
-        << ages[i];
-    EXPECT_EQ(dv[i],
-              reference.program_time(ProgramAlgorithm::kIsppDv, ages[i]).value())
-        << ages[i];
+
+  const NandTiming reference = make_timing(device);
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    const IsppTrace& expected =
+        reference.sample_trace(keys[k].algo, keys[k].age, keys[k].pattern);
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      const IsppTrace* trace = got[round * keys.size() + k];
+      EXPECT_EQ(trace, got[k]) << "key " << k << " round " << round;
+      EXPECT_TRUE(same_bits(*trace, expected)) << "key " << k;
+    }
+    // A later lookup still lands on the entry the race published.
+    EXPECT_EQ(&b.sample_trace(keys[k].algo, keys[k].age, keys[k].pattern),
+              got[k]);
   }
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "src/util/rng.hpp"
+
 namespace xlf::controller {
 namespace {
 
@@ -110,6 +115,63 @@ TEST(ReliabilityManager, FeedbackTracksModelAcrossLife) {
     EXPECT_GE(t_feedback + 1, t_model) << c;   // never dangerously below
     EXPECT_LE(t_feedback, t_model + 8) << c;   // nor wastefully above
   }
+}
+
+// The UBER solve the manager memoises, computed fresh.
+std::optional<unsigned> fresh_solve(const ReliabilityConfig& config,
+                                    double rber) {
+  return bch::min_t_for_uber(rber, config.uber_target, config.k, config.m,
+                             config.t_min, config.t_max);
+}
+
+TEST(ReliabilityManager, MemoisedSolveMatchesAFreshOne) {
+  // A seeded walk over more distinct rbers than the memo holds, with
+  // repeats, and a t_max low enough that end-of-life rbers saturate:
+  // every step's t and saturated() must equal a fresh solve.
+  ReliabilityConfig config;
+  config.t_max = 20;
+  config.ewma_alpha = 1.0;  // the estimate is exactly the last sample
+  config.warmup_pages = 1;
+  const nand::AgingLaw law;
+  const std::vector<double> ages{1.0,  30.0, 1e2, 5e2, 1e3, 3e3,
+                                 1e4,  3e4,  1e5, 2e5, 5e5, 1e6};
+  const std::vector<unsigned> corrected{1,   2,   4,   9,    20,   45,
+                                        100, 220, 480, 1000, 2200, 9000};
+  constexpr std::uint32_t kCodewordBits = 33808;
+
+  ReliabilityManager model(config, "model_based", law);
+  ReliabilityManager feedback(config, "feedback", law);
+  Rng rng(20240611);
+  unsigned model_saturated = 0, feedback_saturated = 0;
+  for (int step = 0; step < 600; ++step) {
+    const auto algo = rng.below(2) == 0 ? nand::ProgramAlgorithm::kIsppSv
+                                        : nand::ProgramAlgorithm::kIsppDv;
+    const double age = ages[rng.below(ages.size())];
+    const auto expected_model = fresh_solve(config, law.rber(algo, age));
+    EXPECT_EQ(model.recommended_t(algo, age, 3u),
+              expected_model.value_or(config.t_max))
+        << "step " << step;
+    EXPECT_EQ(model.saturated(), !expected_model.has_value())
+        << "step " << step;
+    model_saturated += expected_model.has_value() ? 0 : 1;
+
+    const unsigned errors = corrected[rng.below(corrected.size())];
+    feedback.observe_decode(errors, kCodewordBits);
+    const double sample = static_cast<double>(errors) / kCodewordBits;
+    const auto expected_feedback =
+        fresh_solve(config, std::min(0.5, sample * config.safety_factor));
+    EXPECT_EQ(feedback.recommended_t(algo, age, 3u),
+              expected_feedback.value_or(config.t_max))
+        << "step " << step;
+    EXPECT_EQ(feedback.saturated(), !expected_feedback.has_value())
+        << "step " << step;
+    feedback_saturated += expected_feedback.has_value() ? 0 : 1;
+  }
+  // Both outcomes occur on both policies, so the memo held both.
+  EXPECT_GT(model_saturated, 0u);
+  EXPECT_LT(model_saturated, 600u);
+  EXPECT_GT(feedback_saturated, 0u);
+  EXPECT_LT(feedback_saturated, 600u);
 }
 
 TEST(ReliabilityManager, InvalidConfigsRejected) {

@@ -40,6 +40,9 @@ endfunction()
 expect_rejected(--ftl-requests --ftl-sweep --ftl-requests -5)
 expect_rejected(--ftl-requests --ftl-sweep --ftl-requests abc)
 expect_rejected(--ftl-requests --ftl-sweep --ftl-requests 10x)
+# In range for the option table but beyond any materialised stream: the
+# sweep must name the count's input, not the allocator.
+expect_rejected(--ftl-requests --ftl-sweep --ftl-requests 18446744073709551615 --ftl-topologies 1x1)
 expect_rejected(--ftl-qd --ftl-sweep --ftl-qd 4x)
 expect_rejected(--ftl-read-fraction --ftl-sweep --ftl-read-fraction 0.3q)
 expect_rejected(--ages --ages 1:1e6:3z)
