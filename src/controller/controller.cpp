@@ -98,7 +98,7 @@ WriteResult MemoryController::write_page(nand::PageAddress addr,
       device_->program_page(addr, page_bits, config_.load_strategy);
   result.ok = programmed.ok;
   result.latency += programmed.busy_time;
-  result.nand_energy += program_energy(wear);
+  result.nand_energy += nand_power_.program_energy(program_algorithm(), wear);
 
   page_t_[slot] = static_cast<std::uint16_t>(result.t_used);
   page_reference_[slot] = encoded.codeword;
@@ -135,19 +135,12 @@ WriteResult MemoryController::write_page_meta(nand::PageAddress addr,
       device_->program_page(addr, BitVec(0), config_.load_strategy);
   result.ok = programmed.ok;
   result.latency += programmed.busy_time;
-  result.nand_energy += program_energy(wear);
+  result.nand_energy += nand_power_.program_energy(program_algorithm(), wear);
 
   page_t_[slot] = static_cast<std::uint16_t>(result.t_used);
   registers_.set_busy(false);
   registers_.set_error(!result.ok);
   return result;
-}
-
-Joules MemoryController::program_energy(double wear) {
-  const nand::IsppTrace& trace =
-      device_->timing().sample_trace(program_algorithm(), wear);
-  return program_energy_.get(
-      &trace, [&] { return nand_power_.program_energy(trace); });
 }
 
 ReadResult MemoryController::read_page(nand::PageAddress addr) {

@@ -24,7 +24,6 @@
 #include "src/controller/reliability_manager.hpp"
 #include "src/hv/power_model.hpp"
 #include "src/nand/device.hpp"
-#include "src/util/recent_memo.hpp"
 
 namespace xlf::controller {
 
@@ -117,8 +116,6 @@ class MemoryController {
   // decode of an all-zero page.
   WriteResult write_page_meta(nand::PageAddress addr, const BitVec& data);
   ReadResult read_page_meta(unsigned t);
-  // Energy of one page program at `wear` with the active algorithm.
-  Joules program_energy(double wear);
 
   ControllerConfig config_;
   nand::NandDevice* device_;
@@ -132,12 +129,6 @@ class MemoryController {
   std::vector<std::uint16_t> page_t_;
   // Written codeword per page (bit-true plane only; empty otherwise).
   std::vector<BitVec> page_reference_;
-  // Program energy per characterised trace. A trace's address names
-  // its (algorithm, pattern, age key) and stays valid while the
-  // device lives, and the HV config is fixed, so the address is the
-  // whole key. Kept here, not in NandPowerModel, because a controller
-  // runs on one thread while a power model may be shared.
-  RecentMemo<const nand::IsppTrace*, Joules, 8> program_energy_;
 };
 
 }  // namespace xlf::controller

@@ -17,10 +17,8 @@ Watts NandPowerModel::program_power(nand::ProgramAlgorithm algo,
 Joules NandPowerModel::program_energy(
     nand::ProgramAlgorithm algo, double pe_cycles,
     std::optional<nand::Level> pattern) const {
-  return program_energy(timing_->sample_trace(algo, pe_cycles, pattern));
-}
-
-Joules NandPowerModel::program_energy(const nand::IsppTrace& trace) const {
+  const nand::IsppTrace& trace =
+      timing_->sample_trace(algo, pe_cycles, pattern);
   return subsystem_.energy(trace).total();
 }
 

@@ -22,9 +22,6 @@ class NandPowerModel {
 
   Joules program_energy(nand::ProgramAlgorithm algo, double pe_cycles,
                         std::optional<nand::Level> pattern = std::nullopt) const;
-  // Energy of one program following `trace` (one of the timing
-  // model's characterised traces).
-  Joules program_energy(const nand::IsppTrace& trace) const;
 
   Joules read_energy() const;
 

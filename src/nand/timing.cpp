@@ -24,23 +24,7 @@ NandTiming::NandTiming(const TimingConfig& config, const IsppConfig& ispp,
   XLF_EXPECT(config_.sample_cells >= 64);
 }
 
-std::optional<std::size_t> IsppTraceCache::slot(const Key& key) {
-  if (key.algo < 0 || static_cast<std::size_t>(key.algo) >= kAlgos ||
-      key.pattern < -1 ||
-      static_cast<std::size_t>(key.pattern + 1) >= kPatterns || key.age < 0 ||
-      static_cast<std::size_t>(key.age) >= kAgeKeys) {
-    return std::nullopt;
-  }
-  return (static_cast<std::size_t>(key.algo) * kPatterns +
-          static_cast<std::size_t>(key.pattern + 1)) *
-             kAgeKeys +
-         static_cast<std::size_t>(key.age);
-}
-
 const IsppTrace* IsppTraceCache::find(const Key& key) const {
-  if (const auto index = slot(key)) {
-    return table_[*index].load(std::memory_order_acquire);
-  }
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = entries_.find({key.algo, key.pattern, key.age});
   return it != entries_.end() ? &it->second : nullptr;
@@ -49,14 +33,10 @@ const IsppTrace* IsppTraceCache::find(const Key& key) const {
 const IsppTrace& IsppTraceCache::insert(const Key& key, IsppTrace trace) {
   const std::lock_guard<std::mutex> lock(mutex_);
   // The first entry for a key wins; the map node never moves, so its
-  // address is safe to publish and to return past the lock.
-  const IsppTrace& entry =
-      entries_.try_emplace({key.algo, key.pattern, key.age}, std::move(trace))
-          .first->second;
-  if (const auto index = slot(key)) {
-    table_[*index].store(&entry, std::memory_order_release);
-  }
-  return entry;
+  // address is safe to return past the lock.
+  return entries_
+      .try_emplace({key.algo, key.pattern, key.age}, std::move(trace))
+      .first->second;
 }
 
 Seconds NandTiming::io_transfer_time(std::size_t bytes) const {
@@ -72,8 +52,8 @@ IsppTrace NandTiming::characterize(ProgramAlgorithm algo, double pe_cycles,
   // draw but very stable in expectation.
   constexpr unsigned kRuns = 3;
   const double zone = aging_.dv_zone_multiplier(pe_cycles);
-  // The seed mixes in the whole cycle count; ages from 2^64 up (keys
-  // past the lock-free table) saturate, as the cast would be undefined.
+  // The seed mixes in the whole cycle count; ages from 2^64 up
+  // saturate, as the cast would be undefined.
   const std::uint64_t cycles = pe_cycles < 0x1p64
                                    ? static_cast<std::uint64_t>(pe_cycles)
                                    : UINT64_MAX;

@@ -8,8 +8,6 @@
 // and the growing ISPP-DV penalty (Fig. 9) come from.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -48,14 +46,12 @@ struct TimingConfig {
 // share one cache: an Ssd hands die 0's to dies 1..N-1, whose configs
 // differ only in the array seed.
 //
-// Concurrency: find() on a key inside the fixed table is lock-free —
-// one acquire load of a slot that insert() publishes with a release
-// store after the entry is in place; keys beyond the table (ages past
-// kAgeKeys, algorithms or patterns outside the enums) fall back to a
-// mutex-guarded map lookup. insert() keeps the first entry for a key
-// and returns it, so a duplicate characterisation race is harmless.
-// Entries are never moved or erased: a returned reference stays valid
-// for the lifetime of the cache.
+// Concurrency: find() and insert() take one mutex for a map search;
+// on one thread, or on threads that seldom collide, that lock is
+// uncontended and costs a few ns. insert() keeps the first entry for a
+// key and returns it, so a duplicate characterisation race is
+// harmless. Entries are never moved or erased: a returned reference
+// stays valid for the lifetime of the cache.
 class IsppTraceCache {
  public:
   struct Key {
@@ -69,16 +65,8 @@ class IsppTraceCache {
   const IsppTrace& insert(const Key& key, IsppTrace trace);
 
  private:
-  // 2 algorithms x (4 levels + random) x ages 1 ... 1e10 cycles.
-  static constexpr std::size_t kAlgos = 2;
-  static constexpr std::size_t kPatterns = 5;
-  static constexpr std::size_t kAgeKeys = 121;
-  static std::optional<std::size_t> slot(const Key& key);
-
-  std::array<std::atomic<const IsppTrace*>, kAlgos * kPatterns * kAgeKeys>
-      table_{};
-  // Owns every entry. A pure memo, never held across a call out of
-  // this class, so no lock ordering can form around it.
+  // A pure memo, never held across a call out of this class, so no
+  // lock ordering can form around it.
   mutable std::mutex mutex_;  // xlf-lint: allow(lock-order)
   std::map<std::tuple<int, int, long>, IsppTrace> entries_;
 };
@@ -104,8 +92,8 @@ class NandTiming {
   // and characterised at the key's canonical age, so an entry is a
   // pure function of (algo, pattern, quantised age) and concurrent
   // callers observe the same bits whichever thread filled it. A hit
-  // takes no lock; a miss characterises outside any lock, so cold
-  // keys fill in parallel. The reference stays valid while any
+  // is one locked map search; a miss characterises outside the lock,
+  // so cold keys fill in parallel. The reference stays valid while any
   // NandTiming sharing the cache lives.
   const IsppTrace& sample_trace(ProgramAlgorithm algo, double pe_cycles,
                                 std::optional<Level> pattern = std::nullopt) const;

@@ -1,6 +1,6 @@
 // RecentMemo: the last N (key -> value) pairs of a pure function whose
-// argument repeats in runs — a block's wear between two erases, an
-// ISPP trace entry between two age keys. A lookup is a linear scan of
+// argument repeats in runs, such as a block's rber between two of its
+// erases. A lookup is a linear scan of
 // at most N keys; a miss computes the value and overwrites the oldest
 // pair. Keys compare with ==, so a floating-point argument should be
 // keyed by its bit pattern (std::bit_cast) to keep the memo exact.

@@ -231,9 +231,9 @@ TEST(Timing, SharedCacheReturnsOneEntryPerKey) {
 
 TEST(Timing, ConcurrentFillOfASharedCache) {
   // Workers race on a cold cache shared by two NandTimings over mixed
-  // algorithms, patterns and ages — table keys (lock-free hits) and
-  // ages past the table (the locked map). Every caller of one key
-  // must get the same entry, with the bits of a serial reference.
+  // algorithms, patterns and ages (1e30 cycles saturates the cycle
+  // count characterisation mixes into its seed). Every caller of one
+  // key must get the same entry, with the bits of a serial reference.
   struct Key {
     ProgramAlgorithm algo;
     double age;
@@ -241,7 +241,7 @@ TEST(Timing, ConcurrentFillOfASharedCache) {
   };
   std::vector<Key> keys;
   for (const auto algo : {ProgramAlgorithm::kIsppSv, ProgramAlgorithm::kIsppDv}) {
-    for (const double age : {1.0, 40.0, 2e3, 1e6, 1e12, 1e30}) {
+    for (const double age : {1.0, 40.0, 2e3, 1e6, 1e30}) {
       keys.push_back({algo, age, std::nullopt});
     }
     keys.push_back({algo, 5e2, Level::kL1});
