@@ -13,9 +13,7 @@
 // the cartesian product topology x queue depth x queue count x
 // arbitration x gc x wear x tuning x refresh, in that nesting order;
 // axes default to a single entry, so the historical (topology x QD x
-// GC) grid is the default shape, and the default single-queue
-// round-robin host interface reproduces the pre-redesign single-
-// stream rows byte for byte.
+// GC) grid is the default shape on a single round-robin queue.
 //
 // Determinism contract (same as sweep/monte_carlo): every combo's
 // randomness comes from its own serially pre-forked Rng stream, each
@@ -58,14 +56,13 @@ struct FtlSweepSpec {
   // leave the die enough healthy blocks for its logical share plus
   // the GC slack.
   std::vector<std::uint32_t> fail_blocks{0};
-  // Hot/cold overwrite traffic driving GC (see HotColdWorkload /
-  // MultiTenantWorkload). trim_fraction > 0 makes each tenant
-  // deallocate that share of its non-read requests.
+  // Hot/cold overwrite traffic driving GC, one sim::TenantSpec per
+  // queue (see MultiTenantWorkload). trim_fraction > 0 makes each
+  // tenant deallocate that share of its non-read requests.
   double hot_fraction = 0.25;
   double hot_write_fraction = 0.85;
   double read_fraction = 0.3;
   double trim_fraction = 0.0;
-  Seconds mean_gap{0.0};
   std::size_t requests = 200;
   bool prepopulate = true;
   std::uint64_t seed = 0x55DF71;

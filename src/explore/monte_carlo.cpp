@@ -1,5 +1,6 @@
 #include "src/explore/monte_carlo.hpp"
 
+#include "src/explore/fits_in_memory.hpp"
 #include "src/util/expect.hpp"
 
 namespace xlf::explore {
@@ -17,16 +18,21 @@ MonteCarloResult run_monte_carlo(const MonteCarloSpec& spec,
   XLF_EXPECT(spec.requests_per_replica > 0);
   XLF_EXPECT(spec.pe_cycles >= 0.0);
 
+  // Per-replica state is allocated whole, so the replica count is
+  // bounded by memory.
+  std::vector<Rng> streams;
+  std::vector<sim::SimStats> slots;
+  fits_in_memory("--mc-replicas / monte_carlo.replicas", spec.replicas, [&] {
+    streams.reserve(spec.replicas);
+    slots.resize(spec.replicas);
+  });
   // Fork all replica streams serially up front: fork() advances the
   // root generator, so doing it inside workers would order-depend.
   Rng root(spec.seed);
-  std::vector<Rng> streams;
-  streams.reserve(spec.replicas);
   for (std::size_t r = 0; r < spec.replicas; ++r) {
     streams.push_back(root.fork());
   }
 
-  std::vector<sim::SimStats> slots(spec.replicas);
   pool.parallel_for(spec.replicas, [&](std::size_t r) {
     Rng stream = streams[r];
     core::SubsystemConfig config = spec.subsystem;
@@ -35,8 +41,12 @@ MonteCarloResult run_monte_carlo(const MonteCarloSpec& spec,
     subsystem.device().set_uniform_wear(spec.pe_cycles);
     subsystem.apply(spec.point);
 
-    std::vector<sim::Request> requests = spec.workload->generate(
-        subsystem.device().geometry(), spec.requests_per_replica, stream);
+    const std::vector<sim::Request> requests = fits_in_memory(
+        "--mc-requests / monte_carlo.requests", spec.requests_per_replica,
+        [&] {
+          return spec.workload->generate(subsystem.device().geometry(),
+                                         spec.requests_per_replica, stream);
+        });
 
     sim::SimConfig sim_config;
     sim_config.data_seed = stream.next();

@@ -8,10 +8,6 @@
 // address the FTL's logical page space in (LBA, length) extents; the
 // driver expands an extent into per-page FTL operations and completes
 // the command when the last page lands.
-//
-// Replaces the flat std::vector<HostRequest> edge of the simulator:
-// multi-tenant, QoS and trim/retention scenarios need queues and a
-// command vocabulary, not a single anonymous request stream.
 #pragma once
 
 #include <cstdint>
@@ -43,12 +39,12 @@ struct Command {
   std::uint32_t length = 1;
   // Submission queue this command is enqueued on.
   std::uint16_t queue = 0;
-  // Free-form stream tag (multi-tenant workloads stamp the tenant
-  // index; single-stream conversions leave it 0).
+  // Free-form stream tag (the multi-tenant generator stamps the
+  // tenant index).
   std::uint16_t tenant = 0;
-  // Inter-arrival time before this command enters its queue, relative
-  // to the previous command of the *merged* host stream (the open-loop
-  // clock the simulator schedules arrivals on).
+  // Inter-arrival time (>= 0) before this command enters its queue,
+  // relative to the previous command of the *merged* host stream (the
+  // open-loop clock the simulator's arrival cursor walks).
   Seconds gap{0.0};
 };
 

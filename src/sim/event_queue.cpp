@@ -20,6 +20,17 @@ void EventQueue::schedule_in(Seconds delay, Callback fn) {
   schedule_at(now_ + delay, std::move(fn));
 }
 
+Seconds EventQueue::next_time() const {
+  XLF_EXPECT(!heap_.empty());
+  return Seconds{heap_.front().when};
+}
+
+void EventQueue::advance_to(Seconds when) {
+  XLF_EXPECT(when >= now_);
+  XLF_EXPECT(heap_.empty() || when.value() <= heap_.front().when);
+  now_ = when;
+}
+
 bool EventQueue::step() {
   if (heap_.empty()) return false;
   // Move out before running: the callback may schedule new events.

@@ -24,6 +24,15 @@ class EventQueue {
   Seconds now() const { return now_; }
   bool empty() const { return heap_.empty(); }
   std::size_t pending() const { return heap_.size(); }
+  // Time of the earliest pending event (requires !empty()). With
+  // advance_to() this lets a caller interleave its own time-ordered
+  // stream (the SSD simulator's arrival cursor) with the queue: it
+  // handles its next item itself once that item is due no later than
+  // next_time(), so at equal instants its items go first.
+  Seconds next_time() const;
+  // Move the clock forward to `when` without running anything;
+  // `when` must be >= now() and no later than next_time().
+  void advance_to(Seconds when);
 
   // Schedule `fn` at absolute time `when` (>= now).
   void schedule_at(Seconds when, Callback fn);

@@ -1,20 +1,11 @@
 #include "src/sim/host_workload.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/util/expect.hpp"
 
 namespace xlf::sim {
 namespace {
-
-// Exponential inter-arrival with the given mean (Poisson stream);
-// zero mean short-circuits to back-to-back arrivals without drawing,
-// so the pressure case stays on the same random stream as paced runs.
-Seconds draw_gap(Seconds mean, Rng& rng) {
-  if (mean.value() <= 0.0) return Seconds{0.0};
-  return Seconds{-mean.value() * std::log(1.0 - rng.uniform())};
-}
 
 void check_tenant(const TenantSpec& tenant) {
   XLF_EXPECT(tenant.hot_fraction > 0.0 && tenant.hot_fraction <= 1.0);
@@ -24,27 +15,22 @@ void check_tenant(const TenantSpec& tenant) {
   XLF_EXPECT(tenant.trim_fraction >= 0.0 && tenant.trim_fraction < 1.0);
 }
 
-// One tenant's command stream — the HotColdWorkload draw sequence
-// (gap, read-or-not, target) extended with a trim branch. The trim
-// draw is gated on trim_fraction > 0 so a trim-free tenant consumes
-// the Rng exactly like HotColdWorkload::generate: that gate is what
-// keeps the single-tenant degenerate case byte-identical to the
-// pre-redesign single-stream path.
-std::vector<host::Command> tenant_commands(const TenantSpec& tenant,
-                                           std::uint32_t logical_pages,
-                                           std::size_t count,
-                                           std::uint16_t queue, Rng& rng) {
+// Appends one tenant's `count` commands to `out`: per command a
+// read-or-not draw, then (trim-enabled tenants only) a trim-or-not
+// draw, then the target. The trim draw is gated on trim_fraction > 0
+// so a trim-free tenant's stream does not depend on the trim branch.
+void append_tenant_commands(const TenantSpec& tenant,
+                            std::uint32_t logical_pages, std::size_t count,
+                            std::uint16_t queue, Rng& rng,
+                            std::vector<host::Command>& out) {
   XLF_EXPECT(logical_pages >= 2);
   const auto hot_pages = static_cast<std::uint32_t>(std::max(
       1.0, static_cast<double>(logical_pages) * tenant.hot_fraction));
-  std::vector<host::Command> out;
-  out.reserve(count);
   std::vector<ftl::Lpa> written;
   for (std::size_t i = 0; i < count; ++i) {
     host::Command command;
     command.queue = queue;
     command.tenant = queue;
-    command.gap = draw_gap(tenant.mean_gap, rng);
     if (!written.empty() && rng.chance(tenant.read_fraction)) {
       command.type = host::CmdType::kRead;
       command.lba = written[rng.below(written.size())];
@@ -70,93 +56,9 @@ std::vector<host::Command> tenant_commands(const TenantSpec& tenant,
     }
     out.push_back(command);
   }
-  return out;
 }
 
 }  // namespace
-
-HotColdWorkload::HotColdWorkload(double hot_fraction,
-                                 double hot_write_fraction,
-                                 double read_fraction, Seconds mean_gap)
-    : hot_fraction_(hot_fraction),
-      hot_write_fraction_(hot_write_fraction),
-      read_fraction_(read_fraction),
-      mean_gap_(mean_gap) {
-  XLF_EXPECT(hot_fraction > 0.0 && hot_fraction <= 1.0);
-  XLF_EXPECT(hot_write_fraction >= 0.0 && hot_write_fraction <= 1.0);
-  XLF_EXPECT(read_fraction >= 0.0 && read_fraction < 1.0);
-}
-
-std::vector<HostRequest> HotColdWorkload::generate(std::uint32_t logical_pages,
-                                                   std::size_t count,
-                                                   Rng& rng) const {
-  // One draw loop for both shapes: this is tenant_commands with the
-  // trim branch gated off, converted back to flat requests — so the
-  // single-tenant degenerate case of the multi-queue generator cannot
-  // drift from this stream (it IS this stream).
-  TenantSpec tenant;
-  tenant.hot_fraction = hot_fraction_;
-  tenant.hot_write_fraction = hot_write_fraction_;
-  tenant.read_fraction = read_fraction_;
-  tenant.trim_fraction = 0.0;
-  tenant.mean_gap = mean_gap_;
-  const std::vector<host::Command> commands =
-      tenant_commands(tenant, logical_pages, count, 0, rng);
-  std::vector<HostRequest> out;
-  out.reserve(commands.size());
-  for (const host::Command& command : commands) {
-    out.push_back(HostRequest{command.type == host::CmdType::kWrite
-                                  ? OpType::kWrite
-                                  : OpType::kRead,
-                              command.lba, command.gap});
-  }
-  return out;
-}
-
-SequentialOverwriteWorkload::SequentialOverwriteWorkload(Seconds mean_gap)
-    : mean_gap_(mean_gap) {}
-
-std::vector<HostRequest> SequentialOverwriteWorkload::generate(
-    std::uint32_t logical_pages, std::size_t count, Rng& rng) const {
-  XLF_EXPECT(logical_pages >= 1);
-  std::vector<HostRequest> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(HostRequest{
-        OpType::kWrite,
-        static_cast<ftl::Lpa>(i % logical_pages),
-        draw_gap(mean_gap_, rng)});
-  }
-  return out;
-}
-
-UniformOverwriteWorkload::UniformOverwriteWorkload(double read_fraction,
-                                                   Seconds mean_gap)
-    : read_fraction_(read_fraction), mean_gap_(mean_gap) {
-  XLF_EXPECT(read_fraction >= 0.0 && read_fraction < 1.0);
-}
-
-std::vector<HostRequest> UniformOverwriteWorkload::generate(
-    std::uint32_t logical_pages, std::size_t count, Rng& rng) const {
-  XLF_EXPECT(logical_pages >= 1);
-  std::vector<HostRequest> out;
-  out.reserve(count);
-  std::vector<ftl::Lpa> written;
-  for (std::size_t i = 0; i < count; ++i) {
-    HostRequest request;
-    request.gap = draw_gap(mean_gap_, rng);
-    if (!written.empty() && rng.chance(read_fraction_)) {
-      request.type = OpType::kRead;
-      request.lpa = written[rng.below(written.size())];
-    } else {
-      request.type = OpType::kWrite;
-      request.lpa = static_cast<ftl::Lpa>(rng.below(logical_pages));
-      written.push_back(request.lpa);
-    }
-    out.push_back(request);
-  }
-  return out;
-}
 
 MultiTenantWorkload::MultiTenantWorkload(std::vector<TenantSpec> tenants)
     : tenants_(std::move(tenants)) {
@@ -166,11 +68,12 @@ MultiTenantWorkload::MultiTenantWorkload(std::vector<TenantSpec> tenants)
 
 std::vector<host::Command> MultiTenantWorkload::generate(
     std::uint32_t logical_pages, std::size_t count, Rng& rng) const {
-  // Single tenant: consume the caller's stream directly — no fork, no
-  // merge (the merge's absolute-time round trip would perturb gap
-  // bits) — so the degenerate case stays on the pre-redesign stream.
+  std::vector<host::Command> out;
+  out.reserve(count);
+  // Single tenant: draw from the caller's stream directly, no fork.
   if (tenants_.size() == 1) {
-    return tenant_commands(tenants_[0], logical_pages, count, 0, rng);
+    append_tenant_commands(tenants_[0], logical_pages, count, 0, rng, out);
+    return out;
   }
 
   // Per-tenant streams from serially pre-forked Rngs: adding a tenant
@@ -180,60 +83,12 @@ std::vector<host::Command> MultiTenantWorkload::generate(
   for (std::size_t t = 0; t < tenants_.size(); ++t) {
     streams.push_back(rng.fork());
   }
-
   const std::size_t per_tenant = count / tenants_.size();
   const std::size_t remainder = count % tenants_.size();
-
-  struct Pending {
-    double arrival;
-    std::uint16_t tenant;
-    std::size_t sequence;
-    host::Command command;
-  };
-  std::vector<Pending> merged;
-  merged.reserve(count);
   for (std::size_t t = 0; t < tenants_.size(); ++t) {
     const std::size_t quota = per_tenant + (t < remainder ? 1 : 0);
-    const std::vector<host::Command> stream =
-        tenant_commands(tenants_[t], logical_pages, quota,
-                        static_cast<std::uint16_t>(t), streams[t]);
-    double arrival = 0.0;
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-      arrival += stream[i].gap.value();
-      merged.push_back(
-          Pending{arrival, static_cast<std::uint16_t>(t), i, stream[i]});
-    }
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const Pending& a, const Pending& b) {
-              if (a.arrival != b.arrival) return a.arrival < b.arrival;
-              if (a.tenant != b.tenant) return a.tenant < b.tenant;
-              return a.sequence < b.sequence;
-            });
-
-  // Back to inter-arrival gaps of the merged open-loop stream.
-  std::vector<host::Command> out;
-  out.reserve(merged.size());
-  double previous = 0.0;
-  for (Pending& p : merged) {
-    p.command.gap = Seconds{p.arrival - previous};
-    previous = p.arrival;
-    out.push_back(p.command);
-  }
-  return out;
-}
-
-std::vector<host::Command> to_commands(
-    const std::vector<HostRequest>& requests) {
-  std::vector<host::Command> out;
-  out.reserve(requests.size());
-  for (const HostRequest& request : requests) {
-    host::Command command;
-    command.type = request.type == OpType::kWrite ? host::CmdType::kWrite
-                                                  : host::CmdType::kRead;
-    command.lba = request.lpa;
-    command.gap = request.gap;
-    out.push_back(command);
+    append_tenant_commands(tenants_[t], logical_pages, quota,
+                           static_cast<std::uint16_t>(t), streams[t], out);
   }
   return out;
 }

@@ -232,10 +232,6 @@ void SsdSimulator::try_issue(SsdSimStats& stats) {
   }
 }
 
-SsdSimStats SsdSimulator::run(const std::vector<HostRequest>& requests) {
-  return run(to_commands(requests));
-}
-
 std::size_t SsdSimulator::verify_stored() {
   std::size_t mismatches = 0;
   for (const auto& [lpa, payload] : written_) {
@@ -246,11 +242,13 @@ std::size_t SsdSimulator::verify_stored() {
 }
 
 SsdSimStats SsdSimulator::run(const std::vector<host::Command>& commands) {
+  for (const host::Command& command : commands) {
+    XLF_EXPECT(command.gap.value() >= 0.0);
+  }
   SsdSimStats stats;
   host::HostInterface host(config_.host);
   host_ = &host;
   outstanding_ = 0;
-  run_commands_ = &commands;
   run_stats_ = &stats;
   inflight_.clear();
   inflight_free_.clear();
@@ -266,27 +264,33 @@ SsdSimStats SsdSimulator::run(const std::vector<host::Command>& commands) {
     channel_busy_before[c] = ssd_->dispatcher().channel_busy(c);
   }
 
-  // Open loop: every arrival is on the calendar before the first
-  // event fires; completions never delay arrivals, only issue.
+  // Open loop: the arrival cursor walks the commands in order, each
+  // landing at the previous arrival plus its gap. An arrival fires
+  // once it is no later than the earliest pending completion, so at
+  // equal instants arrivals go first.
+  std::size_t next = 0;
   Seconds arrival = start;
-  for (std::size_t i = 0; i < commands.size(); ++i) {
-    arrival += commands[i].gap;
-    // The event fires exactly at its scheduled instant, so the
-    // callback recovers the arrival stamp from queue_.now(); capturing
-    // only {this, index} keeps the event inside std::function's
-    // small-buffer storage (no per-command allocation).
-    queue_.schedule_at(arrival, [this, i] {
-      host_->submit((*run_commands_)[i], queue_.now());
-      try_issue(*run_stats_);
-    });
-  }
   try {
-    queue_.run();
+    while (true) {
+      if (next < commands.size()) {
+        const Seconds due = arrival + commands[next].gap;
+        if (queue_.empty() || due <= queue_.next_time()) {
+          arrival = due;
+          queue_.advance_to(arrival);
+          host_->submit(commands[next], arrival);
+          ++next;
+          try_issue(stats);
+          continue;
+        }
+      }
+      if (!queue_.step()) break;
+    }
     XLF_ENSURE(outstanding_ == 0 && !host.pending());
   } catch (const ftl::PowerLoss&) {
-    // Power cut: everything scheduled after the kill instant never
-    // happens. Drop the timeline and report the crash in the stats;
-    // the caller remounts the Ssd over the surviving NAND state.
+    // Power cut: everything after the kill instant never happens.
+    // Drop the pending completions and the unread arrivals and report
+    // the crash in the stats; the caller remounts the Ssd over the
+    // surviving NAND state.
     queue_.clear();
     outstanding_ = 0;
     stats.power_loss = true;
@@ -334,7 +338,6 @@ SsdSimStats SsdSimulator::run(const std::vector<host::Command>& commands) {
   }
   stats.queue_stats = host.all_stats();
   host_ = nullptr;
-  run_commands_ = nullptr;
   run_stats_ = nullptr;
   return stats;
 }

@@ -7,21 +7,19 @@
 // Completions post back through the host interface, which keeps
 // per-queue latency statistics next to the global ones.
 //
-// Mechanics: arrivals are pre-scheduled on the EventQueue (open
-// loop); an issue step runs whenever an arrival lands or an in-flight
-// command completes. FTL state (mapping, GC, per-block t) mutates at
-// issue time; the dispatcher's resource timelines place each page
-// operation; a command completes when its last page does. Trim is
-// metadata-only (unmap + valid-counter decrement) and completes
-// immediately; Flush is a per-queue barrier — it completes once every
-// command previously issued from its queue has, and holds that
-// queue's later commands until then. Single-threaded and
-// event-ordered, so runs are bit-reproducible.
-//
-// The pre-redesign single-stream interface survives as the 1-queue
-// round-robin degenerate case: run(requests) converts the flat
-// request vector onto queue 0 and produces byte-identical statistics
-// to the old flat-vector simulator.
+// Mechanics: the run walks the command vector with an arrival cursor
+// (open loop: completions never delay arrivals, only issue). The next
+// arrival fires once it is no later than the earliest pending
+// completion — arrivals win ties — and the EventQueue holds only the
+// in-flight completions. An issue step runs whenever an arrival lands
+// or an in-flight command completes. FTL state (mapping, GC,
+// per-block t) mutates at issue time; the dispatcher's resource
+// timelines place each page operation; a command completes when its
+// last page does. Trim is metadata-only (unmap + valid-counter
+// decrement) and completes immediately; Flush is a per-queue barrier
+// — it completes once every command previously issued from its queue
+// has, and holds that queue's later commands until then.
+// Single-threaded and event-ordered, so runs are bit-reproducible.
 #pragma once
 
 #include <cstddef>
@@ -32,7 +30,7 @@
 #include "src/host/command.hpp"
 #include "src/host/queues.hpp"
 #include "src/sim/event_queue.hpp"
-#include "src/sim/host_workload.hpp"
+#include "src/util/rng.hpp"
 #include "src/util/stats.hpp"
 
 namespace xlf::sim {
@@ -133,14 +131,13 @@ class SsdSimulator {
   void prepopulate();
 
   // Execute a host command stream; returns this run's statistics.
-  // A PowerLoss thrown by an armed FaultInjector does not propagate:
-  // the run returns early with stats.power_loss set and the pending
-  // timeline dropped (the host oracle keeps every acknowledged
-  // write, so verify_stored() audits the rebuilt device).
+  // Every command's gap must be >= 0 (checked before any command
+  // runs: std::invalid_argument otherwise). A PowerLoss thrown by an
+  // armed FaultInjector does not propagate: the run returns early
+  // with stats.power_loss set and the pending timeline dropped (the
+  // host oracle keeps every acknowledged write, so verify_stored()
+  // audits the rebuilt device).
   SsdSimStats run(const std::vector<host::Command>& commands);
-  // Degenerate single-stream form: the flat request vector converted
-  // onto queue 0 (see to_commands).
-  SsdSimStats run(const std::vector<HostRequest>& requests);
 
   // Recovery audit: read every LPA the host holds a payload for and
   // count the ones that come back unmapped or bit-different. Zero is
@@ -170,15 +167,12 @@ class SsdSimulator {
   // trims erase their entry, matching the device's deallocation.
   std::map<ftl::Lpa, BitVec> written_;
 
-  // Per-run issue state (valid while run() executes). run_commands_ /
-  // run_stats_ exist so event callbacks capture only {this, index}:
-  // 16 bytes keeps every per-command std::function inside libstdc++'s
-  // small-buffer storage — zero heap traffic per event at 10M-command
-  // scale (Completion payloads park in the inflight_ arena instead of
-  // the closure).
+  // Per-run issue state (valid while run() executes). run_stats_
+  // exists so completion events capture only {this, slot}: that keeps
+  // every std::function inside libstdc++'s small-buffer storage (the
+  // Completion payload parks in the inflight_ arena instead).
   host::HostInterface* host_ = nullptr;
   std::size_t outstanding_ = 0;
-  const std::vector<host::Command>* run_commands_ = nullptr;
   SsdSimStats* run_stats_ = nullptr;
   // In-flight Completion arena (bounded by queue_depth + 1; slots
   // recycle through the free list).

@@ -108,6 +108,27 @@ TEST(EventQueue, PastSchedulingRejected) {
                std::invalid_argument);
 }
 
+TEST(EventQueue, AdvanceToMovesTheClockUpToTheNextEventOnly) {
+  EventQueue queue;
+  EXPECT_THROW(queue.next_time(), std::invalid_argument);
+  int fired = 0;
+  queue.schedule_at(Seconds::micros(20.0), [&] { ++fired; });
+  queue.schedule_at(Seconds::micros(10.0), [&] { ++fired; });
+  EXPECT_EQ(queue.next_time(), Seconds::micros(10.0));
+  // Up to the earliest event, inclusive, without running it.
+  queue.advance_to(Seconds::micros(10.0));
+  EXPECT_EQ(queue.now(), Seconds::micros(10.0));
+  EXPECT_EQ(fired, 0);
+  EXPECT_THROW(queue.advance_to(Seconds::micros(5.0)), std::invalid_argument);
+  EXPECT_THROW(queue.advance_to(Seconds::micros(15.0)),
+               std::invalid_argument);
+  queue.run();
+  EXPECT_EQ(fired, 2);
+  // An empty queue lets the clock go anywhere forward.
+  queue.advance_to(Seconds::micros(50.0));
+  EXPECT_EQ(queue.now(), Seconds::micros(50.0));
+}
+
 // Reference queue for the randomized test: pending events in a plain
 // vector, the next one picked by (when, sequence) — the order a stable
 // sort by time over scheduling order gives.

@@ -1,11 +1,12 @@
 // Open-loop SSD simulator: completion accounting, queue-depth and
-// multi-die scaling, utilisation bookkeeping, and dispatcher timing
-// arithmetic.
+// multi-die scaling, utilisation bookkeeping, the arrival clock
+// (golden timelines), and dispatcher timing arithmetic.
 #include "src/sim/ssd_sim.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "src/controller/dispatch.hpp"
 #include "src/sim/host_workload.hpp"
@@ -65,19 +66,47 @@ TEST(DieDispatcher, DiesStripeRoundRobinAcrossChannels) {
   EXPECT_EQ(dispatcher.channel_of(3), 1u);
 }
 
+host::Command command(host::CmdType type, ftl::Lpa lba,
+                      std::uint16_t queue = 0) {
+  host::Command cmd;
+  cmd.type = type;
+  cmd.lba = lba;
+  cmd.queue = queue;
+  return cmd;
+}
+
+host::Command command_after(host::CmdType type, ftl::Lpa lba,
+                            std::uint16_t queue, double gap,
+                            std::uint32_t length = 1) {
+  host::Command cmd = command(type, lba, queue);
+  cmd.tenant = queue;
+  cmd.gap = Seconds{gap};
+  cmd.length = length;
+  return cmd;
+}
+
 TEST(SsdSimulator, AccountsEveryRequest) {
   ftl::Ssd ssd(ssd_config(2, 1));
   SsdSimulator simulator(ssd);
-  const UniformOverwriteWorkload workload(0.25);
+  // Uniform overwrite traffic: the whole LPA space is the hot set.
+  const MultiTenantWorkload workload({TenantSpec{1.0, 1.0, 0.25, 0.0}});
   Rng rng(11);
-  const auto requests = workload.generate(ssd.logical_pages(), 60, rng);
-  const SsdSimStats stats = simulator.run(requests);
+  const auto commands = workload.generate(ssd.logical_pages(), 60, rng);
+  const SsdSimStats stats = simulator.run(commands);
   EXPECT_EQ(stats.reads + stats.writes + stats.unmapped_reads,
-            requests.size());
+            commands.size());
   EXPECT_EQ(stats.unmapped_reads, 0u);  // reads only target written LPAs
   EXPECT_GT(stats.elapsed.value(), 0.0);
   EXPECT_EQ(stats.die_utilisation.size(), 2u);
   EXPECT_EQ(stats.data_mismatches, 0u);
+  // The single queue's view agrees with the globals.
+  ASSERT_EQ(stats.queue_stats.size(), 1u);
+  EXPECT_EQ(stats.queue_stats[0].reads + stats.queue_stats[0].writes, 60u);
+  EXPECT_EQ(stats.queue_stats[0].reads, stats.reads);
+  EXPECT_DOUBLE_EQ(stats.queue_stats[0].read_latency.mean(),
+                   stats.read_latency.mean());
+  EXPECT_DOUBLE_EQ(stats.queue_stats[0].write_latency.mean(),
+                   stats.write_latency.mean());
 }
 
 TEST(SsdSimulator, PrepopulateMapsEveryLogicalPage) {
@@ -97,11 +126,13 @@ TEST(SsdSimulator, MoreDiesAndDepthFinishSooner) {
     SsdSimConfig config;
     config.queue_depth = qd;
     SsdSimulator simulator(ssd, config);
-    const SequentialOverwriteWorkload workload;
-    Rng rng(5);
-    // Fixed request count (not capacity-scaled) for comparability.
-    const auto requests = workload.generate(12, 40, rng);
-    return simulator.run(requests);
+    // Sequential overwrite: 40 writes cycling through 12 LPAs (a
+    // fixed count, not capacity-scaled, for comparability).
+    std::vector<host::Command> commands;
+    for (ftl::Lpa i = 0; i < 40; ++i) {
+      commands.push_back(command(host::CmdType::kWrite, i % 12));
+    }
+    return simulator.run(commands);
   };
   const SsdSimStats serial = run(1, 1);
   const SsdSimStats overlapped = run(2, 4);
@@ -114,9 +145,8 @@ TEST(SsdSimulator, MoreDiesAndDepthFinishSooner) {
 TEST(SsdSimulator, UnmappedReadsCompleteInstantly) {
   ftl::Ssd ssd(ssd_config(1, 1));
   SsdSimulator simulator(ssd);
-  std::vector<HostRequest> requests{{OpType::kRead, 0, Seconds{0.0}},
-                                    {OpType::kRead, 1, Seconds{0.0}}};
-  const SsdSimStats stats = simulator.run(requests);
+  const SsdSimStats stats = simulator.run(
+      {command(host::CmdType::kRead, 0), command(host::CmdType::kRead, 1)});
   EXPECT_EQ(stats.unmapped_reads, 2u);
   EXPECT_EQ(stats.reads, 0u);
   EXPECT_DOUBLE_EQ(stats.elapsed.value(), 0.0);
@@ -132,45 +162,6 @@ TEST(SsdSimStats, EmptyUtilisationSummariesAreNaN) {
   EXPECT_TRUE(std::isnan(stats.die_util_min()));
   EXPECT_TRUE(std::isnan(stats.die_util_max()));
   EXPECT_TRUE(std::isnan(stats.die_util_mean()));
-}
-
-host::Command command(host::CmdType type, ftl::Lpa lba,
-                      std::uint16_t queue = 0) {
-  host::Command cmd;
-  cmd.type = type;
-  cmd.lba = lba;
-  cmd.queue = queue;
-  return cmd;
-}
-
-TEST(SsdSimulator, LegacyRequestPathEqualsOneQueueCommandPath) {
-  // The flat request vector and its command conversion on a 1-queue
-  // round-robin interface are the same simulation, stat for stat.
-  const auto run_with = [](bool as_commands) {
-    ftl::Ssd ssd(ssd_config(2, 1));
-    SsdSimulator simulator(ssd);
-    const UniformOverwriteWorkload workload(0.25);
-    Rng rng(11);
-    const auto requests = workload.generate(ssd.logical_pages(), 60, rng);
-    return as_commands ? simulator.run(to_commands(requests))
-                       : simulator.run(requests);
-  };
-  const SsdSimStats legacy = run_with(false);
-  const SsdSimStats commands = run_with(true);
-  EXPECT_EQ(legacy.reads, commands.reads);
-  EXPECT_EQ(legacy.writes, commands.writes);
-  EXPECT_EQ(legacy.gc_relocations, commands.gc_relocations);
-  EXPECT_DOUBLE_EQ(legacy.elapsed.value(), commands.elapsed.value());
-  EXPECT_DOUBLE_EQ(legacy.read_latency.mean(), commands.read_latency.mean());
-  EXPECT_DOUBLE_EQ(legacy.write_latency.mean(),
-                   commands.write_latency.mean());
-  // The command path also reports the single queue's view, which must
-  // agree with the globals.
-  ASSERT_EQ(commands.queue_stats.size(), 1u);
-  EXPECT_EQ(commands.queue_stats[0].reads + commands.queue_stats[0].writes,
-            60u);
-  EXPECT_DOUBLE_EQ(commands.queue_stats[0].write_latency.mean(),
-                   commands.write_latency.mean());
 }
 
 TEST(SsdSimulator, TrimUnmapsAndReadsComeBackUnmapped) {
@@ -262,6 +253,112 @@ TEST(SsdSimulator, QueuesKeepIndependentStatsThatSumToGlobal) {
   }
   EXPECT_EQ(per_queue_writes, stats.writes);
   EXPECT_EQ(stats.data_mismatches, 0u);
+}
+
+// Golden timelines of the open-loop arrival clock: hand-built streams
+// with nonzero gaps, where arrivals land between, before and exactly
+// at completions. The trims and unmapped reads complete at their own
+// issue instant, and the gap-0 command after each arrives at that
+// same instant: arrivals must go first. Counts, elapsed time and the
+// per-queue latency means are pinned bit for bit (hex floats).
+struct QueueGolden {
+  std::uint64_t reads, writes, trims, flushes;
+  double read_mean, write_mean;
+};
+
+void expect_queue(const host::QueueStats& stats, const QueueGolden& golden,
+                  std::size_t q) {
+  EXPECT_EQ(stats.reads, golden.reads) << "queue " << q;
+  EXPECT_EQ(stats.writes, golden.writes) << "queue " << q;
+  EXPECT_EQ(stats.trims, golden.trims) << "queue " << q;
+  EXPECT_EQ(stats.flushes, golden.flushes) << "queue " << q;
+  EXPECT_EQ(stats.read_latency.mean(), golden.read_mean) << "queue " << q;
+  EXPECT_EQ(stats.write_latency.mean(), golden.write_mean) << "queue " << q;
+}
+
+TEST(SsdSimulator, OneQueueArrivalClockMatchesGoldenTimeline) {
+  using host::CmdType;
+  ftl::Ssd ssd(ssd_config(1, 1));
+  SsdSimConfig config;
+  config.queue_depth = 2;
+  SsdSimulator simulator(ssd, config);
+  const std::vector<host::Command> commands{
+      command_after(CmdType::kWrite, 0, 0, 0.0),
+      command_after(CmdType::kWrite, 1, 0, 1e-4),
+      command_after(CmdType::kRead, 0, 0, 5e-4),
+      command_after(CmdType::kTrim, 1, 0, 3e-3),
+      command_after(CmdType::kWrite, 2, 0, 0.0),   // at the trim's completion
+      command_after(CmdType::kRead, 7, 0, 2e-3),   // unmapped
+      command_after(CmdType::kWrite, 3, 0, 0.0),   // at its completion
+      command_after(CmdType::kFlush, 0, 0, 1e-5),
+      command_after(CmdType::kWrite, 4, 0, 0.0),   // held by the flush
+      command_after(CmdType::kRead, 2, 0, 7e-4),
+      command_after(CmdType::kWrite, 0, 0, 4e-3, 2),
+  };
+  const SsdSimStats stats = simulator.run(commands);
+  EXPECT_EQ(stats.reads, 2u);
+  EXPECT_EQ(stats.writes, 7u);
+  EXPECT_EQ(stats.unmapped_reads, 1u);
+  EXPECT_EQ(stats.trims, 1u);
+  EXPECT_EQ(stats.flushes, 1u);
+  EXPECT_EQ(stats.elapsed.value(), 0x1.b99bdda883deep-7);
+  EXPECT_EQ(stats.read_latency.mean(), 0x1.ce09b9fff5139p-10);
+  EXPECT_EQ(stats.write_latency.mean(), 0x1.34e8c99ba3428p-9);
+  ASSERT_EQ(stats.queue_stats.size(), 1u);
+  expect_queue(stats.queue_stats[0],
+               {3, 6, 1, 1, 0x1.ce09b9fff5139p-10, 0x1.34e8c99ba3428p-9}, 0);
+}
+
+TEST(SsdSimulator, TwoQueueArrivalClockMatchesGoldenTimeline) {
+  // Depth 1 makes the tie order visible: when the queue-0 trim
+  // completes, the two gap-0 arrivals (queue 0, then queue 1) must
+  // both be submitted before the freed slot is arbitrated.
+  using host::CmdType;
+  ftl::Ssd ssd(ssd_config(2, 1));
+  SsdSimConfig config;
+  config.queue_depth = 1;
+  config.host.queues = 2;
+  SsdSimulator simulator(ssd, config);
+  const std::vector<host::Command> commands{
+      command_after(CmdType::kWrite, 0, 0, 0.0),
+      command_after(CmdType::kWrite, 1, 1, 2e-4),
+      command_after(CmdType::kTrim, 0, 0, 5e-3),
+      command_after(CmdType::kWrite, 2, 0, 0.0),
+      command_after(CmdType::kWrite, 3, 1, 0.0),
+      command_after(CmdType::kRead, 9, 1, 3e-3),   // unmapped
+      command_after(CmdType::kRead, 1, 0, 0.0),
+      command_after(CmdType::kWrite, 4, 1, 0.0),
+      command_after(CmdType::kFlush, 0, 1, 1e-4),
+      command_after(CmdType::kWrite, 5, 1, 0.0),   // held by the flush
+      command_after(CmdType::kWrite, 6, 0, 0.0),
+      command_after(CmdType::kRead, 2, 0, 6e-3),
+      command_after(CmdType::kRead, 3, 1, 1e-6),
+  };
+  const SsdSimStats stats = simulator.run(commands);
+  EXPECT_EQ(stats.reads, 3u);
+  EXPECT_EQ(stats.writes, 7u);
+  EXPECT_EQ(stats.unmapped_reads, 1u);
+  EXPECT_EQ(stats.trims, 1u);
+  EXPECT_EQ(stats.flushes, 1u);
+  EXPECT_EQ(stats.elapsed.value(), 0x1.dd3b2f001db21p-7);
+  EXPECT_EQ(stats.read_latency.mean(), 0x1.c32c6ca8d90dp-13);
+  EXPECT_EQ(stats.write_latency.mean(), 0x1.6d149d3fd3c95p-9);
+  ASSERT_EQ(stats.queue_stats.size(), 2u);
+  expect_queue(stats.queue_stats[0],
+               {2, 3, 1, 0, 0x1.c3b2a465debcp-13, 0x1.6296a0a1d05dp-9}, 0);
+  expect_queue(stats.queue_stats[1],
+               {2, 4, 0, 1, 0x1.c2a634ebd35ep-13, 0x1.74f31ab6565a8p-9}, 1);
+}
+
+TEST(SsdSimulator, NegativeGapIsRejectedBeforeAnyCommandRuns) {
+  ftl::Ssd ssd(ssd_config(1, 1));
+  SsdSimulator simulator(ssd);
+  const std::vector<host::Command> commands{
+      command_after(host::CmdType::kWrite, 0, 0, 1e-3),
+      command_after(host::CmdType::kWrite, 1, 0, -1e-4),
+  };
+  EXPECT_THROW(simulator.run(commands), std::invalid_argument);
+  EXPECT_FALSE(ssd.ftl().mapped(0));
 }
 
 }  // namespace

@@ -43,6 +43,12 @@ expect_rejected(--ftl-requests --ftl-sweep --ftl-requests 10x)
 # In range for the option table but beyond any materialised stream: the
 # sweep must name the count's input, not the allocator.
 expect_rejected(--ftl-requests --ftl-sweep --ftl-requests 18446744073709551615 --ftl-topologies 1x1)
+# The same for the Monte-Carlo replica count and per-replica stream.
+expect_rejected("--mc-replicas / monte_carlo.replicas = 18446744073709551615"
+                --mc-replicas 18446744073709551615 --ages 1:10:2)
+expect_rejected("--mc-requests / monte_carlo.requests = 18446744073709551615"
+                --mc-replicas 1 --mc-requests 18446744073709551615
+                --ages 1:10:2)
 expect_rejected(--ftl-qd --ftl-sweep --ftl-qd 4x)
 expect_rejected(--ftl-read-fraction --ftl-sweep --ftl-read-fraction 0.3q)
 expect_rejected(--ages --ages 1:1e6:3z)
